@@ -18,15 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import EpsilonOutOfRange, NotInL, RegionTooSmall
 from .pointset import (
     MATCH_TOL,
     QUANT,
     Box,
     IndexedPointSet,
-    _match_count_nd,
+    _distinct_matches,
+    _translate_hits,
     difference_set,
+    match_index,
 )
 from .scheme import LatticeScheme, resolve_index
 from .window import ConvexPolygon, IntervalUnion
@@ -138,15 +139,7 @@ def eta_table_for_deltas(pset: IndexedPointSet, deltas, boxes,
                     f"patch region {pset.region} does not cover box {box} "
                     f"extended by {radius}")
     canon, mirror = _canonical_pairs(deltas)
-    box_lo = np.array([b.lo for b in boxes])
-    box_hi = np.array([b.hi for b in boxes])
-    if pset.dim == 1:
-        counts = kernels.eta_counts_1d(
-            pset.positions_1d(), np.ascontiguousarray(deltas[canon, 0]),
-            np.ascontiguousarray(box_lo[:, 0]), np.ascontiguousarray(box_hi[:, 0]),
-            MATCH_TOL).astype(np.float64)
-    else:
-        counts = _eta_counts_nd(pset, deltas[canon], boxes)
+    counts = _eta_counts(pset, deltas[canon], boxes)
     vols = np.array([b.volume() for b in boxes])
     eta = np.empty((len(deltas), len(boxes)))
     eta[canon] = counts / vols
@@ -160,40 +153,33 @@ def eta_table_for_deltas(pset: IndexedPointSet, deltas, boxes,
 
 
 def _canonical_pairs(deltas: np.ndarray):
-    """Indices of canonical representatives and (row, mirror-row) pairs."""
-    canon = []
-    mirror = []
-    order = {tuple(np.round(row / QUANT).astype(np.int64)): i
-             for i, row in enumerate(deltas)}
-    for i, row in enumerate(deltas):
-        key = tuple(np.round(row / QUANT).astype(np.int64))
-        neg = tuple(-k for k in key)
-        if key >= neg:
-            canon.append(i)
-        else:
-            j = order.get(neg)
-            if j is None:
-                canon.append(i)
-            else:
-                mirror.append((i, j))
-    return np.array(canon, dtype=np.int64), \
-        (np.array(mirror, dtype=np.int64) if mirror else np.zeros((0, 2), dtype=np.int64))
+    """Indices of canonical representatives and (row, mirror-row) pairs.
+
+    A row is canonical unless its first coordinate of size at least QUANT/2
+    is negative and its negation is another row (within MATCH_TOL); such a
+    row is paired with that mirror.
+    """
+    big = np.abs(deltas) >= QUANT / 2
+    lead = deltas[np.arange(len(deltas)), np.argmax(big, axis=1)]
+    negative = big.any(axis=1) & (lead < 0)
+    rows = np.flatnonzero(negative)
+    order = np.lexsort(deltas.T[::-1])
+    j = match_index(deltas[order], -deltas[rows])
+    partner = np.where(j >= 0, order[j], -1)
+    paired = partner >= 0
+    paired[paired] = ~negative[partner[paired]]
+    negative[rows[~paired]] = False
+    return np.flatnonzero(~negative), np.stack([rows[paired], partner[paired]], axis=1)
 
 
-def _eta_counts_nd(pset, deltas, boxes):
+def _eta_counts(pset, deltas, boxes):
+    """counts[i, j] = card{x in P and boxes[j] : x + deltas[i] in P}."""
     counts = np.zeros((len(deltas), len(boxes)))
     for j, box in enumerate(boxes):
         seg = pset.physical[pset.contains_mask(box)]
-        for i, d in enumerate(deltas):
-            targets = seg + d
-            counts[i, j] = _membership_count_nd(pset, targets)
+        for rows, hits in _translate_hits(pset.physical, seg, deltas):
+            counts[rows, j] = hits.sum(axis=1)
     return counts
-
-
-def _membership_count_nd(pset, targets) -> int:
-    keys = {tuple(row) for row in pset.quantized_keys()}
-    tq = np.round(targets / QUANT).astype(np.int64)
-    return sum(1 for row in tq if tuple(row) in keys)
 
 
 def pairwise_d(table: AutocorrelationTable, t, s=0) -> float:
@@ -221,12 +207,8 @@ def symdiff_density(pset: IndexedPointSet, other: IndexedPointSet, boxes) -> Sym
             raise RegionTooSmall(f"both patches must cover box {box}")
         a = pset.physical[pset.contains_mask(box)]
         b = other.physical[other.contains_mask(box)]
-        if pset.dim == 1:
-            m = kernels.count_matches_1d(
-                np.ascontiguousarray(a[:, 0]), np.ascontiguousarray(b[:, 0]), MATCH_TOL)
-        else:
-            m = _match_count_nd(a, b, MATCH_TOL)
-        vals.append((len(a) + len(b) - 2 * int(m)) / box.volume())
+        m = _distinct_matches(a, b, MATCH_TOL)
+        vals.append((len(a) + len(b) - 2 * m) / box.volume())
     return SymdiffReport(np.asarray(vals), list(boxes))
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -36,8 +35,6 @@ from .errors import AperiodicError, ConfigError, ParseError
 from .pointset import Box
 from .scheme import dual_candidates, enumerate_cut, model_density, validate_scheme
 
-THREADS_ENV = "APERIODIC_THREADS"
-
 
 def main(argv=None) -> int:
     parser = _build_parser()
@@ -49,10 +46,9 @@ def main(argv=None) -> int:
                 f"config operation {cfg['operation']!r} does not match verb {args.command!r}")
         if args.seed_override is not None:
             cfg["seed"] = args.seed_override
-        threads = args.threads or cfg.get("threads") or _env_threads()
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        report, ok = execute(cfg, out, threads)
+        report, ok = execute(cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -66,11 +62,6 @@ def main(argv=None) -> int:
     return 0 if ok else 3
 
 
-def _env_threads():
-    raw = os.environ.get(THREADS_ENV)
-    return int(raw) if raw else None
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="aperiodic",
@@ -81,12 +72,11 @@ def _build_parser():
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--seed-override", type=int, default=None)
     return parser
 
 
-def execute(cfg: dict, out: Path, threads=None):
+def execute(cfg: dict, out: Path):
     """Run one validated config; returns (report dict, all requirements met)."""
     start = time.perf_counter()
     op = cfg["operation"]
@@ -97,7 +87,6 @@ def execute(cfg: dict, out: Path, threads=None):
         "version": __version__,
         "operation": op,
         "config": cfg,
-        "threads": threads,
         "results": results,
         "warnings": warnings,
         "timing_s": round(time.perf_counter() - start, 6),
@@ -114,11 +103,11 @@ def _check_requirements(cfg, results, warnings) -> bool:
     ok = True
     for req in cfg.get("require", []):
         value = results
-        for part in req["key"].split("."):
-            if isinstance(value, list):
-                value = value[int(part)]
-            else:
-                value = value[part]
+        try:
+            for part in req["key"].split("."):
+                value = value[int(part)] if isinstance(value, list) else value[part]
+        except (KeyError, IndexError, TypeError, ValueError):
+            raise ConfigError(f"require key {req['key']!r} is not in the results") from None
         if "equals" in req and value != req["equals"]:
             warnings.append(f"requirement failed: {req['key']} == {req['equals']} (got {value})")
             ok = False
@@ -134,16 +123,19 @@ def _check_requirements(cfg, results, warnings) -> bool:
 def _inputs(cfg, need_points=True):
     scheme, window = build_scheme_window(cfg)
     region = build_region(cfg)
-    pset = None
-    if need_points:
-        if "points" in cfg:
-            fmt = cfg["points"].get("format", "csv")
-            reader = io.ingest_csv if fmt == "csv" else io.ingest_json
-            pset, warns = reader(cfg["points"]["path"], region)
-            return scheme, window, pset, warns
-        if scheme is not None and region is not None:
-            pset = enumerate_cut(scheme, window, region)
-    return scheme, window, pset, []
+    if scheme is not None and region is not None and region.dim != scheme.d:
+        raise ConfigError(f"region has dimension {region.dim}, "
+                          f"but the scheme's physical space has dimension {scheme.d}")
+    if not need_points:
+        return scheme, window, None, []
+    if "points" in cfg:
+        fmt = cfg["points"].get("format", "csv")
+        reader = io.ingest_csv if fmt == "csv" else io.ingest_json
+        pset, warns = reader(cfg["points"]["path"], region)
+        return scheme, window, pset, warns
+    if scheme is None or region is None:
+        raise ConfigError(f"{cfg['operation']} needs 'points', or a scheme and a region")
+    return scheme, window, enumerate_cut(scheme, window, region), []
 
 
 # -- handlers ---------------------------------------------------------------
@@ -151,8 +143,6 @@ def _inputs(cfg, need_points=True):
 def _h_generate(cfg, out, warnings):
     scheme, window, pset, warns = _inputs(cfg)
     warnings.extend(warns)
-    if pset is None:
-        raise ConfigError("generate needs a scheme and a region")
     io.pointset_to_csv(pset, out / "points.csv")
     (out / "points.json").write_text(io.json_dumps_stable(io.pointset_to_json(pset)) + "\n")
     results = {"count": len(pset), "empirical_density": pset.density()}
@@ -181,8 +171,6 @@ def _h_analyze(cfg, out, warnings):
         cands = dual_candidates(scheme, params["k_max"], params.get("k_internal_max"))
         return {"count": len(cands.k), "k": cands.k.tolist(),
                 "k_internal": cands.k_internal.tolist()}
-    if pset is None:
-        raise ConfigError(f"analyze op {sub!r} needs points")
     if sub == "difference_set":
         diffs = ps.difference_set(pset, params["radius"])
         io.pointset_to_csv(diffs, out / "differences.csv")

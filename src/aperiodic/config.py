@@ -99,7 +99,6 @@ CONFIG_SCHEMA = {
         },
         "params": {"type": "object"},
         "seed": {"type": "integer"},
-        "threads": {"type": ["integer", "null"]},
         "require": {
             "type": "array",
             "items": {

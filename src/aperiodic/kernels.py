@@ -1,96 +1,16 @@
-"""Hot counting loops: numba-jitted kernels with pure-numpy fallbacks.
+"""Vectorized numpy kernels for the 1D pair scan and the Weyl sums.
 
-Every kernel exists in two semantically identical versions:
-
-* ``<name>_nb`` -- explicit-loop implementation compiled with ``numba.njit``
-  (only present when numba imports successfully);
-* ``<name>_np`` -- vectorized pure-numpy implementation.
-
-The public names (``eta_counts_1d``, ...) dispatch to the jitted version
-unless numba is unavailable or the environment variable
-``APERIODIC_NO_NUMBA`` is set to a non-empty value other than ``0``.
-``benchmarks/bench_kernels.py`` compares the two paths.
-
-All kernels are single-threaded and sequential, so results for a given
-implementation are bit-reproducible run to run.
+Both run sequentially, so their results are bit-reproducible run to run.
+Point membership (eta counts, patch and translation matching) lives in
+``pointset.match_index``.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-NUMBA_ENV_FLAG = "APERIODIC_NO_NUMBA"
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    njit = None
-    _HAVE_NUMBA = False
-
-_flag = os.environ.get(NUMBA_ENV_FLAG, "")
-USE_NUMBA = _HAVE_NUMBA and _flag in ("", "0")
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def eta_counts_1d_np(pos, deltas, box_lo, box_hi, tol):
-    """Coincidence counts: out[i, j] = card{x in pos∩[lo_j, hi_j] : x+delta_i in pos}.
-
-    ``pos`` must be sorted ascending; membership of ``x + delta`` is decided
-    by binary search with an absolute matching window of ``tol``.
-    """
-    pos = np.ascontiguousarray(pos, dtype=np.float64)
-    deltas = np.asarray(deltas, dtype=np.float64)
-    nb = len(box_lo)
-    out = np.zeros((len(deltas), nb), dtype=np.int64)
-    for j in range(nb):
-        lo = np.searchsorted(pos, box_lo[j] - tol, side="left")
-        hi = np.searchsorted(pos, box_hi[j] + tol, side="right")
-        seg = pos[lo:hi]
-        if len(seg) == 0:
-            continue
-        # chunk the delta axis to bound the temporary (n_chunk, len(seg)) array
-        chunk = max(1, int(4_000_000 // max(len(seg), 1)))
-        for start in range(0, len(deltas), chunk):
-            dgrp = deltas[start:start + chunk]
-            targets = seg[None, :] + dgrp[:, None]
-            idx = np.searchsorted(pos, targets - tol, side="left")
-            ok = idx < len(pos)
-            hitvals = np.where(ok, pos[np.minimum(idx, len(pos) - 1)], np.inf)
-            matched = np.abs(hitvals - targets) <= tol
-            out[start:start + chunk, j] = matched.sum(axis=1)
-    return out
-
-
-def count_matches_1d_np(a, b, tol):
-    """Number of pairs matched greedily between two sorted arrays within tol."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    i = j = matches = 0
-    na, nbv = len(a), len(b)
-    # two-pointer sweep; points are separated by much more than tol, so the
-    # greedy matching is the unique one
-    while i < na and j < nbv:
-        diff = a[i] - b[j]
-        if abs(diff) <= tol:
-            matches += 1
-            i += 1
-            j += 1
-        elif diff < 0:
-            i += 1
-        else:
-            j += 1
-    return matches
-
-
-def weyl_sums_1d_np(pos, ks, slice_lo, slice_hi):
+def weyl_sums_1d(pos, ks, slice_lo, slice_hi):
     """Complex sums out[i, j] = sum_{x in pos[lo_j:hi_j]} exp(-2*pi*i*k_i*x)."""
     pos = np.asarray(pos, dtype=np.float64)
     ks = np.asarray(ks, dtype=np.float64)
@@ -104,7 +24,7 @@ def weyl_sums_1d_np(pos, ks, slice_lo, slice_hi):
     return out
 
 
-def pairs_within_1d_np(pos, anchor_lo, anchor_hi, radius):
+def pairs_within_1d(pos, anchor_lo, anchor_hi, radius):
     """Index pairs (i, j) with pos[i] in [anchor_lo, anchor_hi], |pos[j]-pos[i]| <= radius."""
     pos = np.asarray(pos, dtype=np.float64)
     a0 = np.searchsorted(pos, anchor_lo, side="left")
@@ -122,160 +42,3 @@ def pairs_within_1d_np(pos, anchor_lo, anchor_hi, radius):
         out_j[at:at + c] = np.arange(lo[t], hi[t])
         at += c
     return out_i, out_j
-
-
-def translate_match_1d_np(pos, ts, box_lo, box_hi, tol):
-    """out[i] = 1 iff (t_i + pos) and pos agree exactly on [box_lo, box_hi]."""
-    pos = np.asarray(pos, dtype=np.float64)
-    ts = np.asarray(ts, dtype=np.float64)
-    out = np.zeros(len(ts), dtype=np.uint8)
-    a0 = np.searchsorted(pos, box_lo - tol, side="left")
-    a1 = np.searchsorted(pos, box_hi + tol, side="right")
-    ref = pos[a0:a1]
-    for i, t in enumerate(ts):
-        b0 = np.searchsorted(pos, box_lo - t - tol, side="left")
-        b1 = np.searchsorted(pos, box_hi - t + tol, side="right")
-        if b1 - b0 == len(ref) and np.all(np.abs(pos[b0:b1] + t - ref) <= tol):
-            out[i] = 1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numba-jitted implementations (same contracts as the *_np versions)
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def eta_counts_1d_nb(pos, deltas, box_lo, box_hi, tol):
-        n = pos.shape[0]
-        nb = box_lo.shape[0]
-        out = np.zeros((deltas.shape[0], nb), dtype=np.int64)
-        for j in range(nb):
-            lo = np.searchsorted(pos, box_lo[j] - tol)
-            hi = np.searchsorted(pos, box_hi[j] + tol, side="right")
-            for i in range(deltas.shape[0]):
-                d = deltas[i]
-                cnt = 0
-                for t in range(lo, hi):
-                    target = pos[t] + d
-                    idx = np.searchsorted(pos, target - tol)
-                    if idx < n and abs(pos[idx] - target) <= tol:
-                        cnt += 1
-                out[i, j] = cnt
-        return out
-
-    @njit(cache=True)
-    def count_matches_1d_nb(a, b, tol):
-        i = 0
-        j = 0
-        matches = 0
-        while i < a.shape[0] and j < b.shape[0]:
-            diff = a[i] - b[j]
-            if abs(diff) <= tol:
-                matches += 1
-                i += 1
-                j += 1
-            elif diff < 0:
-                i += 1
-            else:
-                j += 1
-        return matches
-
-    @njit(cache=True)
-    def weyl_sums_1d_nb(pos, ks, slice_lo, slice_hi):
-        nk = ks.shape[0]
-        nb = slice_lo.shape[0]
-        out = np.zeros((nk, nb), dtype=np.complex128)
-        block = 4096
-        for i in range(nk):
-            k = ks[i]
-            for j in range(nb):
-                total = 0.0 + 0.0j
-                t = slice_lo[j]
-                while t < slice_hi[j]:
-                    end = min(t + block, slice_hi[j])
-                    part = 0.0 + 0.0j
-                    for u in range(t, end):
-                        ang = -2.0 * math.pi * k * pos[u]
-                        part += complex(math.cos(ang), math.sin(ang))
-                    total += part
-                    t = end
-                out[i, j] = total
-        return out
-
-    @njit(cache=True)
-    def pairs_within_1d_nb(pos, anchor_lo, anchor_hi, radius):
-        a0 = np.searchsorted(pos, anchor_lo)
-        a1 = np.searchsorted(pos, anchor_hi, side="right")
-        total = 0
-        for t in range(a0, a1):
-            lo = np.searchsorted(pos, pos[t] - radius)
-            hi = np.searchsorted(pos, pos[t] + radius, side="right")
-            total += hi - lo
-        out_i = np.empty(total, dtype=np.int64)
-        out_j = np.empty(total, dtype=np.int64)
-        at = 0
-        for t in range(a0, a1):
-            lo = np.searchsorted(pos, pos[t] - radius)
-            hi = np.searchsorted(pos, pos[t] + radius, side="right")
-            for j in range(lo, hi):
-                out_i[at] = t
-                out_j[at] = j
-                at += 1
-        return out_i, out_j
-
-    @njit(cache=True)
-    def translate_match_1d_nb(pos, ts, box_lo, box_hi, tol):
-        out = np.zeros(ts.shape[0], dtype=np.uint8)
-        a0 = np.searchsorted(pos, box_lo - tol)
-        a1 = np.searchsorted(pos, box_hi + tol, side="right")
-        for i in range(ts.shape[0]):
-            t = ts[i]
-            b0 = np.searchsorted(pos, box_lo - t - tol)
-            b1 = np.searchsorted(pos, box_hi - t + tol, side="right")
-            if b1 - b0 != a1 - a0:
-                continue
-            ok = True
-            for u in range(a1 - a0):
-                if abs(pos[b0 + u] + t - pos[a0 + u]) > tol:
-                    ok = False
-                    break
-            if ok:
-                out[i] = 1
-        return out
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-    eta_counts_1d = eta_counts_1d_nb
-    count_matches_1d = count_matches_1d_nb
-    weyl_sums_1d = weyl_sums_1d_nb
-    pairs_within_1d = pairs_within_1d_nb
-    translate_match_1d = translate_match_1d_nb
-else:
-    eta_counts_1d = eta_counts_1d_np
-    count_matches_1d = count_matches_1d_np
-    weyl_sums_1d = weyl_sums_1d_np
-    pairs_within_1d = pairs_within_1d_np
-    translate_match_1d = translate_match_1d_np
-
-
-def implementations():
-    """Mapping kernel name -> {impl label -> callable}, for tests and benchmarks."""
-    table = {}
-    for name in (
-        "eta_counts_1d",
-        "count_matches_1d",
-        "weyl_sums_1d",
-        "pairs_within_1d",
-        "translate_match_1d",
-    ):
-        entry = {"numpy": globals()[name + "_np"]}
-        if _HAVE_NUMBA:
-            entry["numba"] = globals()[name + "_nb"]
-        table[name] = entry
-    return table

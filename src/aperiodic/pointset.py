@@ -3,7 +3,9 @@
 A patch is stored with the axis-aligned box on which it is exhaustive, so
 every statistic can restrict its anchors to a core that avoids edge
 artifacts.  Scheme-backed patches additionally carry exact integer lattice
-indices, which makes translation matching an integer comparison.
+indices and star coordinates.  Every point-membership question -- eta
+counts, patch and translation matching, symmetric differences -- is
+answered by ``match_index``.
 """
 
 from __future__ import annotations
@@ -20,8 +22,14 @@ from .errors import (
     UndefinedStatistic,
 )
 
-MATCH_TOL = 1e-7  # absolute coordinate matching window (coarser than float error)
-QUANT = 1e-7     # quantization grid for cluster canonicalization
+# Two points match when their sup-norm distance is at most MATCH_TOL.  There
+# is no grid rounding, so a match does not depend on where the points sit
+# relative to the edges of a 1e-7 grid cell.
+MATCH_TOL = 1e-7
+# QUANT only canonicalizes: it keys the clusters of flc_clusters, dedupes the
+# raw difference set and decides the sign of a difference in eta's canonical
+# representatives.  It never decides membership.
+QUANT = 1e-7
 
 
 @dataclass(frozen=True)
@@ -154,9 +162,85 @@ class IndexedPointSet:
         box = box or self.region
         return float(np.count_nonzero(self.contains_mask(box))) / box.volume()
 
-    def quantized_keys(self, quant=QUANT):
-        """Integer-grid view of the coordinates for exact set algebra."""
-        return np.round(self.physical / quant).astype(np.int64)
+
+def match_index(points, queries, tol=MATCH_TOL) -> np.ndarray:
+    """Position of the first point within sup-norm distance ``tol`` of each
+    query, or -1 where there is none.
+
+    ``points`` is an (n, d) array sorted lexicographically, as every
+    ``IndexedPointSet.physical`` and every masked subset of one is;
+    ``queries`` is (m, d).  One binary search on the first coordinate finds
+    each query's first candidate.  Later candidates are visited in order
+    while their first coordinate stays within ``tol`` of the query's, which
+    covers columns of points with equal first coordinate.  In dimension 1 the
+    first candidate decides.
+    """
+    qs = np.asarray(queries, dtype=np.float64)
+    dim = qs.shape[1]
+    # an infinite sentinel row ends every scan without a bounds check
+    pts = np.vstack([np.asarray(points, dtype=np.float64).reshape(-1, dim),
+                     np.full((1, dim), np.inf)])
+    x = pts[:, 0]
+    at = np.searchsorted(x, qs[:, 0] - tol)
+    out = np.where(_within(pts[at], qs, tol), at, -1)
+    if dim == 1:
+        return out
+    live = np.flatnonzero((out < 0) & (x[at] <= qs[:, 0] + tol))
+    at = at[live] + 1
+    while len(live):
+        q = qs[live]
+        hit = _within(pts[at], q, tol)
+        out[live[hit]] = at[hit]
+        more = ~hit & (x[at] <= q[:, 0] + tol)
+        live, at = live[more], at[more] + 1
+    return out
+
+
+def _within(a, b, tol) -> np.ndarray:
+    diff = a - b
+    np.abs(diff, out=diff)
+    return np.all(diff <= tol, axis=1)
+
+
+def _distinct_matches(a, b, tol) -> int:
+    """Number of points of ``b`` that are the first match of some point of ``a``."""
+    j = match_index(b, a, tol)
+    return int(np.unique(j[j >= 0]).size)
+
+
+def _translate_hits(points, seg, deltas):
+    """Yield (rows, hits) with hits[i, k] true iff seg[k] + deltas[rows][i] is
+    one of ``points``, in chunks of at most 4M queries."""
+    dim = seg.shape[1]
+    chunk = max(1, 4_000_000 // max(1, len(seg) * dim))
+    for start in range(0, len(deltas), chunk):
+        d = deltas[start:start + chunk]
+        queries = (d[:, None, :] + seg[None, :, :]).reshape(-1, dim)
+        hits = match_index(points, queries) >= 0
+        yield slice(start, start + len(d)), hits.reshape(len(d), len(seg))
+
+
+def _agrees_on(pset: IndexedPointSet, ts, box: Box) -> np.ndarray:
+    """ok[i] tells whether ts[i] + P and P have the same points in ``box``,
+    up to MATCH_TOL."""
+    ts = np.atleast_2d(ts)
+    ref = _rows_in(pset.physical, box)
+    ok = np.empty(len(ts), dtype=bool)
+    # every point of P in the box is the image of a point of P ...
+    for rows, hits in _translate_hits(pset.physical, ref, -ts):
+        ok[rows] = hits.all(axis=1)
+    # ... and t + P has no other point in it
+    for i in np.flatnonzero(ok):
+        ok[i] = len(_rows_in(pset.physical, Box(box.lo - ts[i], box.hi - ts[i]))) == len(ref)
+    return ok
+
+
+def _rows_in(points, box: Box) -> np.ndarray:
+    """Rows of lexicographically sorted ``points`` in ``box``, up to MATCH_TOL."""
+    x = points[:, 0]
+    seg = points[np.searchsorted(x, box.lo[0] - MATCH_TOL):
+                 np.searchsorted(x, box.hi[0] + MATCH_TOL, side="right")]
+    return seg[box.contains(seg, tol=MATCH_TOL)]
 
 
 def _dedupe_rows(rows: np.ndarray) -> np.ndarray:
@@ -297,30 +381,8 @@ def repetition_set(pset: IndexedPointSet, radius: float) -> RepetitionReport:
     valid = Box(pset.region.lo - ref_box.lo, pset.region.hi - ref_box.hi)
     tmask = valid.contains(ts)
     ts = ts[tmask]
-    if pset.dim == 1:
-        ok = kernels.translate_match_1d(
-            pset.positions_1d(), np.ascontiguousarray(ts[:, 0]),
-            float(ref_box.lo[0]), float(ref_box.hi[0]), MATCH_TOL).astype(bool)
-    else:
-        ok = np.array([_translate_match_nd(pset, t, ref_box) for t in ts])
-    matches = ts[ok]
+    matches = ts[_agrees_on(pset, ts, ref_box)]
     return RepetitionReport(r, matches, _coverage_gap(matches, valid))
-
-
-def _sorted_rows(arr: np.ndarray) -> np.ndarray:
-    if len(arr) < 2:
-        return arr
-    return arr[np.lexsort(arr.T[::-1])]
-
-
-def _translate_match_nd(pset, t, box: Box) -> bool:
-    ref = pset.quantized_keys()[pset.contains_mask(box)]
-    shifted_box = Box(box.lo - t, box.hi - t)
-    other = pset.physical[pset.contains_mask(shifted_box)] + t
-    if len(other) != len(ref):
-        return False
-    other_q = np.round(other / QUANT).astype(np.int64)
-    return bool(np.array_equal(_sorted_rows(ref), _sorted_rows(other_q)))
 
 
 def _coverage_gap(matches: np.ndarray, valid: Box) -> float:
@@ -359,7 +421,7 @@ def patch_frequency(pset: IndexedPointSet, offsets, boxes: Sequence[Box],
     base = pset.physical - offsets[0]
     present = np.ones(len(base), dtype=bool)
     for off in offsets[1:]:
-        present &= _members(pset, base + off)
+        present &= match_index(pset.physical, base + off) >= 0
     ts = base[present]
     for ia, a in enumerate(anchors):
         for ib, box in enumerate(boxes):
@@ -375,21 +437,6 @@ def patch_frequency(pset: IndexedPointSet, offsets, boxes: Sequence[Box],
     last = freqs[:, -1]
     spread = 0.0 if last.mean() == 0 else float((last.max() - last.min()) / last.mean())
     return FrequencyReport(offsets, anchors, vols, counts, freqs, spread)
-
-
-def _members(pset: IndexedPointSet, queries: np.ndarray) -> np.ndarray:
-    """Boolean membership of query points in the patch (tolerance MATCH_TOL)."""
-    pos = pset.physical
-    if pset.dim == 1:
-        p = pos[:, 0]
-        q = queries[:, 0]
-        idx = np.searchsorted(p, q - MATCH_TOL, side="left")
-        ok = idx < len(p)
-        vals = np.where(ok, p[np.minimum(idx, len(p) - 1)], np.inf)
-        return np.abs(vals - q) <= MATCH_TOL
-    keys = {tuple(row) for row in pset.quantized_keys()}
-    qk = np.round(queries / QUANT).astype(np.int64)
-    return np.array([tuple(row) in keys for row in qk])
 
 
 @dataclass
@@ -412,13 +459,7 @@ def period_candidates(pset: IndexedPointSet, scan_radius=None) -> PeriodReport:
             core = pset.region.shrink(depth + 1e-9)
         except RegionTooSmall:
             continue
-        if pset.dim == 1:
-            ok = bool(kernels.translate_match_1d(
-                pset.positions_1d(), np.array([t[0]]),
-                float(core.lo[0]), float(core.hi[0]), MATCH_TOL)[0])
-        else:
-            ok = _translate_match_nd(pset, t, core)
-        if ok:
+        if _agrees_on(pset, t, core)[0]:
             found.append(t)
     periods = np.array(found) if found else np.zeros((0, pset.dim))
     nonzero = periods[np.linalg.norm(periods, axis=1) > MATCH_TOL] if len(periods) else periods
@@ -464,29 +505,7 @@ def _lt_mismatch(pset, other, box, v, tol) -> int:
     amask = box.contains(a, tol=MATCH_TOL)
     b = other.physical[other.contains_mask(box)]
     a = a[amask]
-    if pset.dim == 1:
-        m = kernels.count_matches_1d(
-            np.ascontiguousarray(a[:, 0]), np.ascontiguousarray(b[:, 0]), tol)
-    else:
-        m = _match_count_nd(a, b, tol)
-    return len(a) + len(b) - 2 * int(m)
-
-
-def _match_count_nd(a, b, tol) -> int:
-    if len(a) == 0 or len(b) == 0:
-        return 0
-    used = np.zeros(len(b), dtype=bool)
-    bx = b[:, 0]
-    count = 0
-    for p in a:
-        lo = np.searchsorted(bx, p[0] - tol, side="left")
-        hi = np.searchsorted(bx, p[0] + tol, side="right")
-        for j in range(lo, hi):
-            if not used[j] and np.all(np.abs(b[j] - p) <= tol):
-                used[j] = True
-                count += 1
-                break
-    return count
+    return len(a) + len(b) - 2 * _distinct_matches(a, b, tol)
 
 
 def _snap_shift(pset, other, box, v, pair_tol):

@@ -46,7 +46,12 @@ def pointset_to_json(pset: IndexedPointSet) -> dict:
 
 
 def ingest_csv(path, region: Box | None = None):
-    """Raw point cloud from CSV with header x[,y[,z]]; returns (pset, warnings)."""
+    """Raw point cloud from CSV; returns (pset, warnings).
+
+    The header is either x[,y[,z]] or the n*,x*,s* layout that
+    ``pointset_to_csv`` writes, whose x* columns are read as the physical
+    coordinates.
+    """
     rows = []
     warnings = []
     with open(path, newline="") as fh:
@@ -56,17 +61,14 @@ def ingest_csv(path, region: Box | None = None):
         except StopIteration:
             raise ParseError(1, "empty file") from None
         cols = [c.strip().lower() for c in header]
-        expected = ["x", "y", "z"][: len(cols)]
-        if cols != expected:
-            raise ParseError(1, f"header must be {expected}, got {cols}")
-        dim = len(cols)
+        phys = _physical_columns(cols)
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
-            if len(row) != dim:
-                raise ParseError(lineno, f"expected {dim} columns, got {len(row)}")
+            if len(row) != len(cols):
+                raise ParseError(lineno, f"expected {len(cols)} columns, got {len(row)}")
             try:
-                rows.append([float(c) for c in row])
+                rows.append([float(row[i]) for i in phys])
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from None
     if not rows:
@@ -79,6 +81,17 @@ def ingest_csv(path, region: Box | None = None):
         region = Box.make(pts.min(axis=0) - 1e-9, pts.max(axis=0) + 1e-9)
         warnings.append("region omitted; using the data bounding box")
     return IndexedPointSet(pts, region), warnings
+
+
+def _physical_columns(cols) -> list:
+    """Positions of the physical coordinates in a CSV header."""
+    if cols == ["x", "y", "z"][:len(cols)]:
+        return list(range(len(cols)))
+    counts = [sum(c.startswith(p) for c in cols) for p in "nxs"]
+    layout = [f"{p}{i}" for p, n in zip("nxs", counts) for i in range(n)]
+    if cols != layout or counts[1] == 0:
+        raise ParseError(1, f"header must be x[,y[,z]] or n*,x*,s* columns, got {cols}")
+    return list(range(counts[0], counts[0] + counts[1]))
 
 
 def ingest_json(path, region: Box | None = None):

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import kernels
 from .autocorr import AutocorrelationTable
 from .errors import (
     InsufficientData,
@@ -23,7 +22,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .exactmath import QuadExact
-from .pointset import MATCH_TOL, Box, IndexedPointSet
+from .pointset import MATCH_TOL, Box, IndexedPointSet, _agrees_on
 from .scheme import LatticeScheme, enumerate_cut
 from .window import ConvexPolygon, Interval, IntervalUnion, Region
 
@@ -446,16 +445,7 @@ def continuity_epsilon(pset: IndexedPointSet, table: AutocorrelationTable,
             raise InsufficientData(f"patch too small for radius {M}")
         norms = np.max(np.abs(table.deltas), axis=1)
         usable = np.flatnonzero((norms > MATCH_TOL) & (norms <= t_max))
-        if pset.dim == 1:
-            ok = kernels.translate_match_1d(
-                pset.positions_1d(),
-                np.ascontiguousarray(table.deltas[usable, 0]),
-                -float(M), float(M), MATCH_TOL).astype(bool)
-        else:
-            from .pointset import _translate_match_nd
-            box = Box.centered(M, pset.dim)
-            ok = np.array([_translate_match_nd(pset, t, box)
-                           for t in table.deltas[usable]])
+        ok = _agrees_on(pset, table.deltas[usable], Box.centered(M, pset.dim))
         fail_d = dv[usable[~ok]]
         min_fail = float(fail_d.min()) if len(fail_d) else None
         threshold = cap if min_fail is None else min(min_fail, cap)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import aperiodic as ap
-from aperiodic import kernels
 from aperiodic.exactmath import QuadExact
 
 TAU = (1 + math.sqrt(5)) / 2
@@ -190,13 +189,15 @@ def test_c07_continuity_thresholds(fib_patch_centered, fib_table400):
     assert all(e > 0 for e in eps)
     assert all(a >= b - 1e-12 for a, b in zip(eps, eps[1:]))
     dv = fib_table400.d_values()
+    pos = fib_patch_centered.positions_1d()
     for M in (5, 10, 20, 40):
         t_max = 1100 - M
+        ref = pos[np.abs(pos) <= M + 1e-7]
         for i, t in enumerate(fib_table400.deltas[:, 0]):
             if 1e-7 < abs(t) <= t_max and dv[i] < out[M].eps:
-                assert kernels.translate_match_1d(
-                    fib_patch_centered.positions_1d(), np.array([t]),
-                    -float(M), float(M), 1e-7)[0]
+                moved = pos[np.abs(pos + t) <= M + 1e-7] + t
+                assert len(moved) == len(ref)
+                assert np.all(np.abs(moved - ref) <= 1e-7)
     _report(7, "eps(M) = " + ", ".join(f"{out[m].eps:.4f}" for m in (5, 10, 20, 40)))
 
 

@@ -242,6 +242,54 @@ class TestIngest:
         assert ok
         assert report["results"]["packing_radius"] == pytest.approx(0.5)
 
+    def test_generate_output_round_trip(self, tmp_path):
+        gen = tmp_path / "gen"
+        assert cli.main(["generate", "--config", write_cfg(tmp_path, fib_generate_cfg()),
+                         "--out", str(gen)]) == 0
+        assert (gen / "points.csv").read_text().startswith("n0,n1,x0,s0\n")
+        cfg = {
+            "operation": "analyze",
+            "points": {"path": str(gen / "points.csv"), "format": "csv"},
+            "params": {"op": "packing_radius"},
+        }
+        out = tmp_path / "an"
+        assert cli.main(["analyze", "--config", write_cfg(tmp_path, cfg, "an.json"),
+                         "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        # the short Fibonacci tile has length 1
+        assert report["results"]["packing_radius"] == pytest.approx(0.5)
+
+    def test_writer_header_reads_physical_columns(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("n0,n1,x0,x1,s0\n1,2,0.5,1.5,9.0\n3,4,2.5,0.5,8.0\n")
+        pset, _ = ingest_csv(path)
+        assert pset.physical.tolist() == [[0.5, 1.5], [2.5, 0.5]]
+
+
+class TestConfigErrors:
+    """Malformed configs exit 2 with a 'config error:' message, not a traceback."""
+
+    def run(self, tmp_path, capsys, cfg):
+        code = cli.main([cfg["operation"].replace("_", "-"), "--config",
+                         write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_autocorr_without_region(self, tmp_path, capsys):
+        self.run(tmp_path, capsys, {"operation": "autocorr",
+                                    "scheme": {"name": "fibonacci"},
+                                    "params": {"radius": 5.0}})
+
+    def test_require_key_missing_from_results(self, tmp_path, capsys):
+        cfg = fib_generate_cfg()
+        cfg["require"] = [{"key": "no_such_result", "min": 1}]
+        self.run(tmp_path, capsys, cfg)
+
+    def test_region_dimension_differs_from_scheme(self, tmp_path, capsys):
+        cfg = fib_generate_cfg()
+        cfg["region"] = {"lo": [0, 0], "hi": [50, 50]}
+        self.run(tmp_path, capsys, cfg)
+
 
 def test_schema_is_valid_jsonschema():
     import jsonschema

@@ -1,14 +1,11 @@
-"""Oracle checks for the counting kernels and numba/numpy path equivalence."""
+"""Oracle checks for the numpy kernels and the point-matching helpers."""
 
 import numpy as np
 import pytest
 
 from aperiodic import kernels
-
-
-@pytest.fixture(scope="module")
-def impls():
-    return kernels.implementations()
+from aperiodic.autocorr import _eta_counts
+from aperiodic.pointset import Box, IndexedPointSet, _agrees_on, _distinct_matches
 
 
 @pytest.fixture(scope="module")
@@ -32,43 +29,37 @@ def _eta_brute(pos, deltas, blo, bhi, tol):
     return out
 
 
-def test_eta_counts_oracle(impls, data):
+def test_eta_counts_oracle(data):
     pos, deltas = data
     blo = np.array([0.0, 10.0])
     bhi = np.array([50.0, 90.0])
     expected = _eta_brute(pos, deltas[:12], blo, bhi, 1e-7)
-    for name, fn in impls["eta_counts_1d"].items():
-        got = fn(pos, deltas[:12], blo, bhi, 1e-7)
-        assert np.array_equal(got, expected), name
+    pset = IndexedPointSet(pos[:, None], Box.make([0.0], [100.0]))
+    boxes = [Box.make([lo], [hi]) for lo, hi in zip(blo, bhi)]
+    got = _eta_counts(pset, deltas[:12, None], boxes)
+    assert np.array_equal(got, expected)
 
 
-def test_count_matches_oracle(impls):
-    a = np.array([0.0, 1.0, 2.0, 3.5])
-    b = np.array([1.0 + 5e-8, 2.0, 2.9, 5.0])
-    for name, fn in impls["count_matches_1d"].items():
-        assert fn(a, b, 1e-7) == 2, name
+def test_count_matches_oracle():
+    a = np.array([0.0, 1.0, 2.0, 3.5])[:, None]
+    b = np.array([1.0 + 5e-8, 2.0, 2.9, 5.0])[:, None]
+    assert _distinct_matches(a, b, 1e-7) == 2
 
 
-def test_weyl_sums_agree(impls, data):
+def test_weyl_sums_agree(data):
     pos, _ = data
     ks = np.array([0.0, 0.3, 1.7])
     lo = np.array([0, 100], dtype=np.int64)
     hi = np.array([200, 400], dtype=np.int64)
-    ref = None
-    for name, fn in impls["weyl_sums_1d"].items():
-        got = fn(pos, ks, lo, hi)
-        direct = np.array([
-            [np.exp(-2j * np.pi * k * pos[l:h]).sum() for l, h in zip(lo, hi)]
-            for k in ks
-        ])
-        assert np.allclose(got, direct, atol=1e-9), name
-        if ref is None:
-            ref = got
-        else:
-            assert np.allclose(got, ref, atol=1e-10)
+    got = kernels.weyl_sums_1d(pos, ks, lo, hi)
+    direct = np.array([
+        [np.exp(-2j * np.pi * k * pos[l:h]).sum() for l, h in zip(lo, hi)]
+        for k in ks
+    ])
+    assert np.allclose(got, direct, atol=1e-9)
 
 
-def test_pairs_within_oracle(impls, data):
+def test_pairs_within_oracle(data):
     pos, _ = data
     expected = set()
     for i, x in enumerate(pos):
@@ -76,36 +67,16 @@ def test_pairs_within_oracle(impls, data):
             for j, y in enumerate(pos):
                 if abs(y - x) <= 5.0:
                     expected.add((i, j))
-    for name, fn in impls["pairs_within_1d"].items():
-        ii, jj = fn(pos, 20.0, 80.0, 5.0)
-        assert set(zip(ii.tolist(), jj.tolist())) == expected, name
+    ii, jj = kernels.pairs_within_1d(pos, 20.0, 80.0, 5.0)
+    assert set(zip(ii.tolist(), jj.tolist())) == expected
 
 
-def test_translate_match_oracle(impls):
+def test_translate_match_oracle():
     # integer segment plus one off-lattice point outside the match box
     pos = np.concatenate([np.arange(-3.0, 7.0), [7.4]])
-    pos.sort()
+    pset = IndexedPointSet(pos[:, None], Box.make([-3.0], [7.5]))
     ts = np.array([1.0, 2.0, 0.5, 3.0])
     # the patch covers [0,3] shifted by any t <= 3, so integer shifts match
-    for name, fn in impls["translate_match_1d"].items():
-        got = fn(pos, ts, 0.0, 3.0, 1e-7).astype(bool)
-        assert got.tolist() == [True, True, False, True], name
-
-
-def test_env_flag_dispatch():
-    if kernels.USE_NUMBA:
-        assert kernels.eta_counts_1d is kernels.eta_counts_1d_nb
-    else:
-        assert kernels.eta_counts_1d is kernels.eta_counts_1d_np
-
-
-@pytest.mark.skipif(not kernels.USE_NUMBA, reason="numba disabled or absent")
-def test_large_random_equivalence(data):
-    rng = np.random.Generator(np.random.PCG64(7))
-    pos = np.sort(rng.uniform(0, 500, size=3000))
-    deltas = np.sort(rng.choice(pos, 50) - pos[1500])
-    blo = np.array([0.0, 50.0, 100.0])
-    bhi = np.array([400.0, 450.0, 480.0])
-    a = kernels.eta_counts_1d_nb(pos, deltas, blo, bhi, 1e-7)
-    b = kernels.eta_counts_1d_np(pos, deltas, blo, bhi, 1e-7)
-    assert np.array_equal(a, b)
+    box = Box.make([0.0], [3.0])
+    got = [_agrees_on(pset, np.array([t]), box) for t in ts]
+    assert got == [True, True, False, True]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aperiodic as ap
 from aperiodic.errors import (
@@ -9,7 +11,7 @@ from aperiodic.errors import (
     RegionTooSmall,
     UndefinedStatistic,
 )
-from aperiodic.pointset import Box, IndexedPointSet
+from aperiodic.pointset import MATCH_TOL, Box, IndexedPointSet, match_index
 
 TAU = (1 + math.sqrt(5)) / 2
 
@@ -141,6 +143,86 @@ class TestRepetition:
         good = ap.repetition_set(fib_patch_small, 5.0)
         # translations moving the reference patch onto the defect zone fail
         assert len(rep.matches) < len(good.matches)
+
+
+# per-coordinate query offsets: exact, inside and just outside +-MATCH_TOL,
+# well outside it, and off the point grid
+OFFSETS = [0.0, 0.5, -0.5, 0.99, -0.99, 1.01, -1.01, 3.0, -3.0]
+
+
+def _match_brute(points, queries, tol):
+    out = []
+    for q in queries:
+        hits = np.flatnonzero(np.all(np.abs(points - q) <= tol, axis=1))
+        out.append(int(hits[0]) if len(hits) else -1)
+    return out
+
+
+@st.composite
+def _match_case(draw, dim):
+    # few distinct first coordinates on a coarse grid, so in 2D many points
+    # share a column of equal x, as in Ammann-Beenker patches
+    cells = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * dim),
+                          min_size=1, max_size=30, unique=True))
+    points = np.array(cells, dtype=np.float64) * 0.37
+    points = points[np.lexsort(points.T[::-1])]
+    queries = []
+    for _ in range(draw(st.integers(1, 20))):
+        if draw(st.booleans()):
+            base = points[draw(st.integers(0, len(points) - 1))]
+            off = [draw(st.sampled_from(OFFSETS)) * MATCH_TOL for _ in range(dim)]
+            queries.append(base + off)
+        else:  # anywhere, including beyond either end of the data
+            queries.append([draw(st.integers(-40, 40)) * 0.125 for _ in range(dim)])
+    return points, np.array(queries)
+
+
+class TestMatchIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(_match_case(1))
+    def test_oracle_1d(self, case):
+        points, queries = case
+        assert match_index(points, queries).tolist() == \
+            _match_brute(points, queries, MATCH_TOL)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_match_case(2))
+    def test_oracle_2d(self, case):
+        points, queries = case
+        assert match_index(points, queries).tolist() == \
+            _match_brute(points, queries, MATCH_TOL)
+
+    def test_coarse_tolerance_steps_through_equal_x_column(self):
+        points = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0], [0.05, 2.0]])
+        queries = np.array([[0.02, 2.0], [0.02, 1.5], [-1.0, 0.0]])
+        assert match_index(points, queries, tol=0.1).tolist() == [2, -1, -1]
+
+    def test_empty_inputs(self):
+        assert match_index(np.zeros((0, 2)), np.ones((3, 2))).tolist() == [-1] * 3
+        assert match_index(np.ones((3, 2)), np.zeros((0, 2))).tolist() == []
+
+
+class TestCellEdge:
+    """Coordinates 2e-13 apart that straddle a 1e-7 grid cell edge still match."""
+
+    X = 1 + 1.5e-7 + 1e-13       # a point just above the cell edge
+    D = 1 + 1.5e-7 - 1e-13       # a translation landing just below it
+
+    def patch(self):
+        pts = np.array([[0.0, 0.0], [self.X, 0.0]])
+        return IndexedPointSet(pts, Box.make([-3.0, -3.0], [4.0, 3.0]))
+
+    def test_eta_table_for_deltas(self):
+        deltas = [[0.0, 0.0], [self.D, 0.0], [-self.D, 0.0]]
+        box = Box.make([-0.5, -0.5], [0.5, 0.5])
+        table = ap.eta_table_for_deltas(self.patch(), deltas, [box])
+        assert table.eta[:, 0].tolist() == [1.0, 1.0, 1.0]
+
+    def test_patch_frequency(self):
+        box = Box.make([-0.5, -0.5], [1.5, 0.5])
+        rep = ap.patch_frequency(self.patch(), [[0.0, 0.0], [self.D, 0.0]],
+                                 [box], [[0.0, 0.0]])
+        assert rep.counts.tolist() == [[1]]
 
 
 class TestPatchFrequency:

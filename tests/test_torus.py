@@ -305,13 +305,13 @@ class TestContinuity:
         out = ap.continuity_epsilon(fib_patch_centered, fib_table400, [10])
         rep = out[10]
         dv = fib_table400.d_values()
-        from aperiodic import kernels
+        pos = fib_patch_centered.positions_1d()
+        ref = pos[np.abs(pos) <= 10.0 + 1e-7]
         for i, t in enumerate(fib_table400.deltas[:, 0]):
             if 1e-7 < abs(t) <= 1000 and dv[i] < rep.eps:
-                ok = kernels.translate_match_1d(
-                    fib_patch_centered.positions_1d(), np.array([t]),
-                    -10.0, 10.0, 1e-7)[0]
-                assert ok
+                moved = pos[np.abs(pos + t) <= 10.0 + 1e-7] + t
+                assert len(moved) == len(ref)
+                assert np.all(np.abs(moved - ref) <= 1e-7)
 
     def test_random_collapses_to_zero(self, random_patch):
         boxes = ap.default_boxes((125, 250, 500, 1000), dim=1, anchored=True)
