@@ -24,12 +24,13 @@ from .pointset import (
     QUANT,
     Box,
     IndexedPointSet,
+    _coverage_gap,
     _distinct_matches,
     _translate_hits,
     difference_set,
     match_index,
 )
-from .scheme import LatticeScheme, resolve_index
+from .scheme import LatticeScheme, lattice_points, resolve_index
 from .window import ConvexPolygon, IntervalUnion
 
 DEFAULT_BOX_SIZES = (125, 250, 500, 1000, 2000, 4000)
@@ -245,23 +246,9 @@ def almost_periods(table: AutocorrelationTable, eps: float,
     inside = np.max(np.abs(table.deltas), axis=1) <= r + MATCH_TOL
     sel = np.flatnonzero((dv < eps) & inside)
     members = table.deltas[sel]
-    gaps = _member_gap(members, r, table.deltas.shape[1])
+    half = np.full(table.deltas.shape[1], r)
+    gaps = _coverage_gap(members, Box(-half, half))
     return AlmostPeriods(float(eps), members, dv[sel], gaps, r)
-
-
-def _member_gap(members: np.ndarray, r: float, dim: int) -> float:
-    if dim == 1:
-        vals = np.sort(members[:, 0]) if len(members) else np.empty(0)
-        vals = np.concatenate([[-r], vals, [r]])
-        return float(np.diff(vals).max())
-    probes = np.stack(np.meshgrid(*[np.linspace(-r, r, 33)] * dim, indexing="ij"),
-                      axis=-1).reshape(-1, dim)
-    if len(members) == 0:
-        return float(2 * r)
-    best = np.full(len(probes), np.inf)
-    for t in members:
-        best = np.minimum(best, np.linalg.norm(probes - t, axis=1))
-    return float(best.max())
 
 
 def predicted_d(scheme: LatticeScheme, window, t=None, index=None) -> float:
@@ -336,11 +323,10 @@ def mact_close(pset: IndexedPointSet, other: IndexedPointSet, shift_radius: floa
     best_v = np.zeros(dim)
     best = _shifted_symdiff(pset, other, best_v, boxes)
     step = shift_radius / 10.0
-    grid = np.arange(-10, 11, dtype=np.float64)
+    cells = lattice_points(np.eye(dim), [-10] * dim, [10] * dim)
     center = best_v.copy()
     for _ in range(levels):
-        offsets = (np.stack(np.meshgrid(*[grid] * dim, indexing="ij"), axis=-1)
-                   .reshape(-1, dim) * step)
+        offsets = cells * step
         for off in offsets:
             v = center + off
             if np.max(np.abs(v)) > shift_radius + 1e-12:

@@ -127,6 +127,8 @@ def _inputs(cfg, need_points=True):
         raise ConfigError(f"region has dimension {region.dim}, "
                           f"but the scheme's physical space has dimension {scheme.d}")
     if not need_points:
+        if scheme is None:
+            raise ConfigError(f"{cfg['operation']} needs a scheme")
         return scheme, window, None, []
     if "points" in cfg:
         fmt = cfg["points"].get("format", "csv")
@@ -135,7 +137,17 @@ def _inputs(cfg, need_points=True):
         return scheme, window, pset, warns
     if scheme is None or region is None:
         raise ConfigError(f"{cfg['operation']} needs 'points', or a scheme and a region")
+    if scheme.m and window is None:
+        raise ConfigError(f"{cfg['operation']} needs a window for a scheme with internal space")
     return scheme, window, enumerate_cut(scheme, window, region), []
+
+
+def _param(params, key):
+    """``params[key]`` for a parameter without a default; absence is a config error."""
+    try:
+        return params[key]
+    except KeyError:
+        raise ConfigError(f"missing required params.{key}") from None
 
 
 # -- handlers ---------------------------------------------------------------
@@ -168,38 +180,40 @@ def _h_analyze(cfg, out, warnings):
     if sub == "model_density":
         return {"model_density": model_density(scheme, window)}
     if sub == "dual_candidates":
-        cands = dual_candidates(scheme, params["k_max"], params.get("k_internal_max"))
+        cands = dual_candidates(scheme, _param(params, "k_max"), params.get("k_internal_max"))
         return {"count": len(cands.k), "k": cands.k.tolist(),
                 "k_internal": cands.k_internal.tolist()}
     if sub == "difference_set":
-        diffs = ps.difference_set(pset, params["radius"])
+        diffs = ps.difference_set(pset, _param(params, "radius"))
         io.pointset_to_csv(diffs, out / "differences.csv")
         return {"count": len(diffs)}
     if sub == "packing_radius":
         return {"packing_radius": ps.packing_radius(pset)}
     if sub == "flc_clusters":
-        rep = ps.flc_clusters(pset, params["radius"])
+        rep = ps.flc_clusters(pset, _param(params, "radius"))
         return {"cluster_count": rep.count,
                 "multiplicities": [c[1] for c in rep.clusters]}
     if sub == "repetition_set":
-        rep = ps.repetition_set(pset, params["radius"])
+        rep = ps.repetition_set(pset, _param(params, "radius"))
         return {"match_count": len(rep.matches), "max_gap": rep.max_gap}
     if sub == "patch_frequency":
         boxes = build_boxes(cfg, pset.dim)
-        rep = ps.patch_frequency(pset, params["offsets"], boxes, params["anchors"])
+        rep = ps.patch_frequency(pset, _param(params, "offsets"), boxes,
+                                 _param(params, "anchors"))
         return {"freqs": rep.freqs.tolist(), "spread": rep.spread}
     if sub == "period_candidates":
         rep = ps.period_candidates(pset, params.get("scan_radius"))
         return {"periods": rep.periods.tolist(), "rank": rep.lattice_rank}
     if sub == "m1_cover":
-        rep = my.m1_cover(pset, params["radius"])
+        rep = my.m1_cover(pset, _param(params, "radius"))
         return {"card_small": rep.card_small, "card_large": rep.card_large,
                 "stable": rep.stable}
     if sub == "weak_ud":
-        diffs = ps.difference_set(pset, params["radius"])
+        radius = _param(params, "radius")
+        diffs = ps.difference_set(pset, radius)
         rng = np.random.Generator(np.random.PCG64(cfg["seed"]))
-        half = params["k_half"]
-        usable = params["radius"] - 2 * half
+        half = _param(params, "k_half")
+        usable = radius - 2 * half
         anchors = rng.uniform(-usable, usable,
                               size=(params.get("n_anchors", 100), pset.dim))
         rep = my.weak_ud_bound(diffs, half, anchors)
@@ -212,7 +226,7 @@ def _h_autocorr(cfg, out, warnings):
     scheme, window, pset, warns = _inputs(cfg)
     warnings.extend(warns)
     boxes = build_boxes(cfg, pset.dim)
-    table = ac.eta_table(pset, params["radius"], boxes)
+    table = ac.eta_table(pset, _param(params, "radius"), boxes)
     payload = table.to_json()
     (out / "autocorrelation.json").write_text(io.json_dumps_stable(payload) + "\n")
     return {"eta0": table.eta0, "delta_count": len(table.deltas)}
@@ -223,7 +237,7 @@ def _h_almost_periods(cfg, out, warnings):
     scheme, window, pset, warns = _inputs(cfg)
     warnings.extend(warns)
     boxes = build_boxes(cfg, pset.dim)
-    table = ac.eta_table(pset, params["radius"], boxes)
+    table = ac.eta_table(pset, _param(params, "radius"), boxes)
     eps_list = params.get("eps", [])
     eps_list = eps_list + [f * 2.0 * table.eta0 for f in params.get("eps_fracs", [])]
     results = {"eta0": table.eta0, "levels": []}
@@ -244,7 +258,7 @@ def _h_diffract(cfg, out, warnings):
     scheme, window, pset, warns = _inputs(cfg)
     warnings.extend(warns)
     boxes = build_boxes(cfg, pset.dim)
-    table = sp.diffraction_table(pset, scheme, params["k_max"],
+    table = sp.diffraction_table(pset, scheme, _param(params, "k_max"),
                                  params.get("n_controls", 10), cfg["seed"], boxes,
                                  params.get("k_internal_max"))
     io.peak_table_to_csv(table, out / "peaks.csv")
@@ -262,13 +276,13 @@ def _h_torus(cfg, out, warnings):
     sub = params.get("op")
     scheme, window, _, _ = _inputs(cfg, need_points=False)
     if sub == "embed":
-        tp = tr.embed_translation(scheme, params["t"])
+        tp = tr.embed_translation(scheme, _param(params, "t"))
         return {"frac": tp.frac.tolist()}
     if sub == "beta":
-        tp = tr.beta_of_cut(scheme, params["x"], params.get("h", []))
+        tp = tr.beta_of_cut(scheme, _param(params, "x"), params.get("h", []))
         return {"frac": tp.frac.tolist()}
     if sub == "singularity":
-        tp = tr.torus_point_from_frac(scheme, params["frac"])
+        tp = tr.torus_point_from_frac(scheme, _param(params, "frac"))
         hits = tr.singularity_test(scheme, window, tp, params.get("radius", 1000.0),
                                    params.get("band"))
         return {"singular": bool(hits), "hits": [list(h.index) for h in hits]}
@@ -283,7 +297,7 @@ def _h_torus(cfg, out, warnings):
 def _h_fiber(cfg, out, warnings):
     params = cfg.get("params", {})
     scheme, window, _, _ = _inputs(cfg, need_points=False)
-    tp = tr.torus_point_from_frac(scheme, params["frac"])
+    tp = tr.torus_point_from_frac(scheme, _param(params, "frac"))
     rep = tr.fiber_enumerate(scheme, window, tp, params.get("radius", 100.0))
     if rep.multiple_orbits:
         warnings.append("more than one boundary orbit is hit; the two reported "

@@ -79,7 +79,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "path": {"type": "string"},
                 "format": {"enum": ["csv", "json"]},
-                "region": {"type": "object"},
             },
         },
         "region": {
@@ -128,6 +127,10 @@ def load_config(path) -> dict:
 
 
 def validate_config(cfg: dict):
+    points = cfg.get("points") if isinstance(cfg, dict) else None
+    if isinstance(points, dict) and "region" in points:
+        raise ConfigError("points.region is not an option; the region of the points "
+                          "is the top-level 'region'")
     try:
         jsonschema.validate(cfg, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
@@ -166,7 +169,14 @@ def build_scheme_window(cfg: dict):
                 scheme = make_scheme(spec["d"], spec["m"], spec["basis"],
                                      mode="float", tol=arith.get("tol", 1e-9))
     if "window" in cfg:
-        window = window_from_json(cfg["window"])
+        try:
+            window = window_from_json(cfg["window"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid window: {exc}") from None
+        wdim = 0 if window is None else window.dim
+        if scheme is not None and wdim != scheme.m:
+            raise ConfigError(f"window has dimension {wdim}, but the scheme's "
+                              f"internal space has dimension {scheme.m}")
     return scheme, window
 
 
@@ -189,7 +199,10 @@ def build_region(cfg: dict) -> Box | None:
     region = cfg.get("region")
     if region is None:
         return None
-    return Box.make(region["lo"], region["hi"])
+    try:
+        return Box.make(region["lo"], region["hi"])
+    except ValueError as exc:
+        raise ConfigError(f"region: {exc}") from None
 
 
 def build_boxes(cfg: dict, dim: int):

@@ -76,11 +76,6 @@ class Box:
     def covers(self, other: "Box", tol=1e-9) -> bool:
         return bool(np.all(self.lo <= other.lo + tol) and np.all(self.hi >= other.hi - tol))
 
-    def corners(self) -> np.ndarray:
-        grids = np.meshgrid(*[(self.lo[i], self.hi[i]) for i in range(self.dim)],
-                            indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
-
     def to_json(self):
         return {"lo": self.lo.tolist(), "hi": self.hi.tolist()}
 

@@ -22,8 +22,9 @@ from .exactmath import QuadExact, as_quad, exact_det, rational_kernel_vector
 from .pointset import Box, IndexedPointSet
 
 DEFAULT_FLOAT_TOL = 1e-9
-ENUM_BUDGET = 100_000_000
+ENUM_BUDGET = 10_000_000  # rows one lattice_points call may build
 BOUNDARY_BAND = 1e-6  # float prefilter margin before exact boundary resolution
+INDEX_MARGIN = 1e-6  # float slack, in index units, on every lattice_points bound
 
 
 @dataclass(frozen=True)
@@ -194,15 +195,20 @@ def validate_scheme(scheme: LatticeScheme, scan_radius: int = 8,
 
 
 def _scan_injectivity(scheme: LatticeScheme, radius: int):
-    rng = np.arange(-radius, radius + 1)
+    side = 2 * radius + 1
+    # the index cube, one slab per value of the first coordinate
+    slab = np.empty((side ** (scheme.k - 1), scheme.k), dtype=np.int64)
+    slab[:, 1:] = (np.indices((side,) * (scheme.k - 1)).reshape(scheme.k - 1, len(slab)).T
+                   - radius)
     phys_rows = scheme.basis[:scheme.d]
-    for chunk in _index_chunks([rng] * scheme.k, 500_000):
-        phys = chunk @ phys_rows.T
+    for n0 in range(-radius, radius + 1):
+        slab[:, 0] = n0
+        phys = slab @ phys_rows.T
         small = np.all(np.abs(phys) <= scheme.tol, axis=1)
-        nonzero = np.any(chunk != 0, axis=1)
+        nonzero = np.any(slab != 0, axis=1)
         bad = np.flatnonzero(small & nonzero)
         if len(bad):
-            return chunk[bad[0]]
+            return slab[bad[0]].copy()
     return None
 
 
@@ -210,9 +216,7 @@ def _denseness_diagnostic(scheme: LatticeScheme, sample_sizes):
     out = []
     for size in sample_sizes:
         radius = max(1, int(round((size ** (1.0 / scheme.k)) / 2)))
-        rng = np.arange(-radius, radius + 1)
-        grid = np.stack(np.meshgrid(*[rng] * scheme.k, indexing="ij"),
-                        axis=-1).reshape(-1, scheme.k)
+        grid = lattice_points(np.eye(scheme.k), [-radius] * scheme.k, [radius] * scheme.k)
         stars = scheme.star_of(grid)
         if scheme.m == 1:
             vals = np.sort(stars[:, 0])
@@ -238,26 +242,56 @@ def _min_nn_distance(points: np.ndarray) -> float:
     return best
 
 
-def _index_chunks(ranges, chunk_cells):
-    """Yield (n, k) integer index blocks covering the product of ranges."""
-    sizes = [len(r) for r in ranges]
-    total = 1
-    for s in sizes:
-        total *= s
-    first = ranges[0]
-    rest = ranges[1:]
-    cells_per_row = total // sizes[0] if sizes[0] else 0
-    rows_per_chunk = max(1, int(chunk_cells // max(cells_per_row, 1)))
-    if rest:
-        tail = np.stack(np.meshgrid(*rest, indexing="ij"), axis=-1).reshape(-1, len(rest))
-    else:
-        tail = np.zeros((1, 0), dtype=np.int64)
-    for start in range(0, sizes[0], rows_per_chunk):
-        head = np.asarray(first[start:start + rows_per_chunk], dtype=np.int64)
-        block = np.empty((len(head) * len(tail), len(sizes)), dtype=np.int64)
-        block[:, 0] = np.repeat(head, len(tail))
-        block[:, 1:] = np.tile(tail, (len(head), 1))
-        yield block
+def lattice_points(matrix, lo, hi, budget: int = ENUM_BUDGET) -> np.ndarray:
+    """Integer vectors n with ``lo <= matrix @ n <= hi``, in lexicographic order.
+
+    A superset within INDEX_MARGIN index units; callers filter.  All
+    coordinates but the widest-ranging one walk their integer bounding box,
+    and for each such prefix row the widest one is solved exactly as an
+    interval (Fincke-Pohst style).  Raises RegionTooLarge, before building
+    them, when prefix plus candidate rows would exceed ``budget``.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
+    k = matrix.shape[1]
+    # moving every index coordinate by INDEX_MARGIN moves row i by at most slack[i]
+    slack = INDEX_MARGIN * np.abs(matrix).sum(axis=1)
+    lo = np.asarray(lo, dtype=np.float64) - slack
+    hi = np.asarray(hi, dtype=np.float64) + slack
+    inv = np.linalg.inv(matrix)
+    mid, rad = inv @ ((lo + hi) / 2), np.abs(inv) @ ((hi - lo) / 2)
+    nlo, nhi = np.ceil(mid - rad), np.floor(mid + rad)
+    j = int(np.argmax(nhi - nlo))
+    rest = [i for i in range(k) if i != j]
+    sizes = np.maximum(nhi[rest] - nlo[rest] + 1, 0)
+    n_prefix = float(np.prod(sizes))
+    if n_prefix > budget:
+        raise RegionTooLarge(f"{n_prefix:.0f} prefix rows exceed budget {budget}")
+    prefix = (np.indices(sizes.astype(np.int64)).reshape(k - 1, int(n_prefix)).T
+              + nlo[rest])
+    first = np.full(len(prefix), -np.inf)
+    last = np.full(len(prefix), np.inf)
+    for i in range(k):
+        base, c = prefix @ matrix[i, rest], matrix[i, j]
+        if c == 0:
+            last[(base < lo[i]) | (base > hi[i])] = -np.inf
+            continue
+        a, b = (lo[i] - base) / c, (hi[i] - base) / c
+        if c < 0:
+            a, b = b, a
+        np.maximum(first, a, out=first)
+        np.minimum(last, b, out=last)
+    counts = np.maximum(np.floor(last) - np.ceil(first) + 1, 0)
+    if n_prefix + counts.sum() > budget:
+        raise RegionTooLarge(f"{n_prefix:.0f} prefix rows and {counts.sum():.0f} "
+                             f"candidate rows exceed budget {budget}")
+    counts = counts.astype(np.int64)
+    first = np.ceil(np.where(counts > 0, first, 0)).astype(np.int64)
+    rows = np.empty((int(counts.sum()), k), dtype=np.int64)
+    rows[:, rest] = np.repeat(prefix, counts, axis=0)
+    rows[:, j] = np.arange(len(rows)) + np.repeat(first - np.cumsum(counts) + counts, counts)
+    if j != k - 1:
+        rows = rows[np.lexsort(rows.T[::-1])]
+    return rows
 
 
 def model_density(scheme: LatticeScheme, window) -> float:
@@ -270,55 +304,32 @@ def enumerate_cut(scheme: LatticeScheme, window, region: Box,
                   budget: int = ENUM_BUDGET) -> IndexedPointSet:
     """All lattice points with physical part in ``region`` and star in the window.
 
-    Enumeration maps the region x window bounding box through the inverse
-    basis, scans the resulting integer box exhaustively, and filters.  In
-    quadratic mode, star images within a float band of the window boundary
+    Candidates are the ``lattice_points`` of region x window bounding box,
+    padded by the scheme tolerance and by BOUNDARY_BAND, and are filtered.
+    In quadratic mode, star images within a float band of the window boundary
     are resolved by exact arithmetic, so endpoint policy is decided exactly.
+    Raises RegionTooLarge when the candidate rows would exceed ``budget``.
     """
     if scheme.m and window is None:
         raise ValueError("scheme with internal space needs a window")
     if region.dim != scheme.d:
         raise ValueError("region dimension must equal physical dimension")
+    lo, hi = region.lo - scheme.tol, region.hi + scheme.tol
     if scheme.m:
         wlo, whi = window.bbox()
-        lo = np.concatenate([region.lo, wlo - BOUNDARY_BAND])
-        hi = np.concatenate([region.hi, whi + BOUNDARY_BAND])
-    else:
-        lo, hi = region.lo, region.hi
-    target = Box(lo, hi)
-    corners_idx = target.corners() @ scheme.basis_inverse.T
-    nlo = np.floor(corners_idx.min(axis=0)).astype(np.int64) - 1
-    nhi = np.ceil(corners_idx.max(axis=0)).astype(np.int64) + 1
-    sizes = (nhi - nlo + 1).astype(np.float64)
-    if float(np.prod(sizes)) > budget:
-        raise RegionTooLarge(
-            f"candidate index box {sizes.astype(np.int64).tolist()} exceeds budget {budget}")
-    ranges = [np.arange(nlo[i], nhi[i] + 1) for i in range(scheme.k)]
-    idx_parts, phys_parts, star_parts = [], [], []
-    for chunk in _index_chunks(ranges, 2_000_000):
-        lifted = chunk @ scheme.basis.T
-        phys = lifted[:, :scheme.d]
-        mask = np.all((phys >= region.lo - scheme.tol)
-                      & (phys <= region.hi + scheme.tol), axis=1)
-        if scheme.m:
-            star = lifted[:, scheme.d:]
-            accept = _window_accept(scheme, window, chunk, star, mask)
-            mask &= accept
-        sel = np.flatnonzero(mask)
-        if len(sel):
-            idx_parts.append(chunk[sel])
-            phys_parts.append(phys[sel])
-            star_parts.append(lifted[sel, scheme.d:])
-    if not idx_parts:
-        empty = np.zeros((0, scheme.d))
-        return IndexedPointSet(empty, region, np.zeros((0, scheme.k), dtype=np.int64),
-                               np.zeros((0, scheme.m)), scheme)
-    return IndexedPointSet(np.concatenate(phys_parts), region,
-                           np.concatenate(idx_parts),
-                           np.concatenate(star_parts), scheme)
+        lo = np.concatenate([lo, wlo - BOUNDARY_BAND])
+        hi = np.concatenate([hi, whi + BOUNDARY_BAND])
+    index = lattice_points(scheme.basis, lo, hi, budget)
+    lifted = index @ scheme.basis.T
+    phys = lifted[:, :scheme.d]
+    mask = np.all((phys >= lo[:scheme.d]) & (phys <= hi[:scheme.d]), axis=1)
+    if scheme.m:
+        mask &= _window_accept(scheme, window, index, lifted[:, scheme.d:], mask)
+    return IndexedPointSet(phys[mask], region, index[mask],
+                           lifted[mask, scheme.d:], scheme)
 
 
-def _window_accept(scheme, window, chunk, star, pre_mask) -> np.ndarray:
+def _window_accept(scheme, window, index, star, pre_mask) -> np.ndarray:
     """Vectorized window membership with exact resolution near the boundary."""
     accept = np.zeros(len(star), dtype=bool)
     near = np.zeros(len(star), dtype=bool)
@@ -342,7 +353,7 @@ def _window_accept(scheme, window, chunk, star, pre_mask) -> np.ndarray:
     undecided = np.flatnonzero(near & pre_mask & ~accept)
     for i in undecided:
         if scheme.is_exact:
-            h = scheme.star_exact(chunk[i])
+            h = scheme.star_exact(index[i])
             accept[i] = window.accepts(h[0] if window.dim == 1 else h)
         else:
             accept[i] = window.accepts(star[i, 0] if window.dim == 1 else star[i])
@@ -369,26 +380,14 @@ def dual_candidates(scheme: LatticeScheme, k_max: float,
     """
     if k_internal_max is None:
         k_internal_max = k_max
-    lo = np.concatenate([np.full(scheme.d, -k_max), np.full(scheme.m, -k_internal_max)])
-    dual_box = Box(lo - 1e-9, -lo + 1e-9)
-    corners = dual_box.corners() @ scheme.basis  # z = B^T y
-    zlo = np.floor(corners.min(axis=0)).astype(np.int64) - 1
-    zhi = np.ceil(corners.max(axis=0)).astype(np.int64) + 1
-    ranges = [np.arange(zlo[i], zhi[i] + 1) for i in range(scheme.k)]
-    zs, ks, kints = [], [], []
-    for chunk in _index_chunks(ranges, 2_000_000):
-        y = chunk @ scheme.basis_inverse
-        k = y[:, :scheme.d]
-        kint = y[:, scheme.d:]
-        ok = np.einsum("ij,ij->i", k, k) <= k_max ** 2 + 1e-12
-        if scheme.m:
-            ok &= np.einsum("ij,ij->i", kint, kint) <= k_internal_max ** 2 + 1e-12
-        sel = np.flatnonzero(ok)
-        if len(sel):
-            zs.append(chunk[sel]); ks.append(k[sel]); kints.append(kint[sel])
-    z = np.concatenate(zs) if zs else np.zeros((0, scheme.k), dtype=np.int64)
-    k = np.concatenate(ks) if ks else np.zeros((0, scheme.d))
-    kint = np.concatenate(kints) if kints else np.zeros((0, scheme.m))
+    lim = np.concatenate([np.full(scheme.d, k_max), np.full(scheme.m, k_internal_max)]) + 1e-9
+    z = lattice_points(scheme.basis_inverse.T, -lim, lim)   # y = B^-T z
+    y = z @ scheme.basis_inverse
+    k = y[:, :scheme.d]
+    kint = y[:, scheme.d:]
+    ok = np.einsum("ij,ij->i", k, k) <= k_max ** 2 + 1e-12
+    ok &= np.einsum("ij,ij->i", kint, kint) <= k_internal_max ** 2 + 1e-12
+    z, k, kint = z[ok], k[ok], kint[ok]
     norms = np.linalg.norm(k, axis=1)
     order = np.lexsort(np.vstack([k.T[::-1], norms]))
     return DualCandidates(k[order], kint[order], z[order])
@@ -402,23 +401,13 @@ def resolve_index(scheme: LatticeScheme, t, star_lo=None, star_hi=None):
     translation arising from differences of model-set points.
     """
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if scheme.m == 0:
-        idx = scheme.basis_inverse @ t
-        rounded = np.round(idx).astype(np.int64)
-        if np.max(np.abs(scheme.physical_of([rounded])[0] - t)) <= 1e-7:
-            return rounded
-        raise NotInL(f"{t} is not a lattice projection")
     if star_lo is None or star_hi is None:
         half = 4.0 * scheme.covolume
         star_lo = np.full(scheme.m, -half)
         star_hi = np.full(scheme.m, half)
     lo = np.concatenate([t - 1e-7, np.asarray(star_lo, dtype=np.float64)])
     hi = np.concatenate([t + 1e-7, np.asarray(star_hi, dtype=np.float64)])
-    corners = Box(lo, hi).corners() @ scheme.basis_inverse.T
-    nlo = np.floor(corners.min(axis=0)).astype(np.int64) - 1
-    nhi = np.ceil(corners.max(axis=0)).astype(np.int64) + 1
-    ranges = [np.arange(nlo[i], nhi[i] + 1) for i in range(scheme.k)]
-    grid = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, scheme.k)
+    grid = lattice_points(scheme.basis, lo, hi)
     phys = scheme.physical_of(grid)
     hits = np.flatnonzero(np.all(np.abs(phys - t) <= 1e-7, axis=1))
     if len(hits) == 0:

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .exactmath import QuadExact
 from .pointset import MATCH_TOL, Box, IndexedPointSet, _agrees_on
-from .scheme import LatticeScheme, enumerate_cut
+from .scheme import LatticeScheme, enumerate_cut, lattice_points
 from .window import ConvexPolygon, Interval, IntervalUnion, Region
 
 
@@ -100,8 +100,7 @@ def torus_distance(a: TorusPoint, b: TorusPoint) -> float:
     """Distance on the torus via the nearest of the adjacent lattice representatives."""
     scheme = a.scheme
     diff = a.frac - b.frac
-    shifts = np.stack(np.meshgrid(*[(-1.0, 0.0, 1.0)] * scheme.k, indexing="ij"),
-                      axis=-1).reshape(-1, scheme.k)
+    shifts = lattice_points(np.eye(scheme.k), [-1] * scheme.k, [1] * scheme.k)
     vecs = (diff[None, :] + shifts) @ scheme.basis.T
     return float(np.min(np.linalg.norm(vecs, axis=1)))
 
@@ -217,10 +216,13 @@ def _inflate_window(window, pad):
         comps = [Interval(c.lo - pad, c.hi + pad, True, True)
                  for c in window.components]
         return IntervalUnion(comps, window.tol)
-    center = window.vertices.mean(axis=0)
-    shifted = window.vertices - center
-    scale = 1.0 + pad / max(1e-9, np.min(np.linalg.norm(shifted, axis=1)))
-    return ConvexPolygon(center + shifted * scale, True, window.tol)
+    # push every edge out by pad: with n1, n2 the outward unit normals of the
+    # edges meeting at a vertex, it moves by pad (n1 + n2) / (1 + n1.n2)
+    edges = np.roll(window.vertices, -1, axis=0) - window.vertices   # counter-clockwise
+    normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1) / np.hypot(*edges.T)[:, None]
+    both = np.roll(normals, 1, axis=0) + normals      # |n1 + n2|^2 = 2 (1 + n1.n2)
+    shift = 2 * pad * both / np.einsum("ij,ij->i", both, both)[:, None]
+    return ConvexPolygon(window.vertices + shift, True, window.tol)
 
 
 @dataclass

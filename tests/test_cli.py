@@ -1,8 +1,14 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aperiodic import cli
 from aperiodic.config import CONFIG_SCHEMA, load_config, validate_config
@@ -273,7 +279,9 @@ class TestConfigErrors:
         code = cli.main([cfg["operation"].replace("_", "-"), "--config",
                          write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        return err
 
     def test_autocorr_without_region(self, tmp_path, capsys):
         self.run(tmp_path, capsys, {"operation": "autocorr",
@@ -289,6 +297,101 @@ class TestConfigErrors:
         cfg = fib_generate_cfg()
         cfg["region"] = {"lo": [0, 0], "hi": [50, 50]}
         self.run(tmp_path, capsys, cfg)
+
+    def test_region_lo_not_below_hi(self, tmp_path, capsys):
+        self.run(tmp_path, capsys, fib_generate_cfg(lo=5, hi=0))
+
+    def test_missing_required_param(self, tmp_path, capsys):
+        cfg = fib_generate_cfg()
+        cfg.update(operation="analyze", params={"op": "difference_set"})
+        assert "params.radius" in self.run(tmp_path, capsys, cfg)
+
+    def test_window_dimension_differs_from_scheme(self, tmp_path, capsys):
+        cfg = fib_generate_cfg()
+        cfg["window"] = {"type": "polygon", "vertices": [[0, 0], [1, 0], [0, 1]]}
+        self.run(tmp_path, capsys, cfg)
+
+    def test_inline_scheme_without_window(self, tmp_path, capsys):
+        cfg = fib_generate_cfg()
+        cfg["scheme"] = {"d": 1, "m": 1, "basis": [[1.0, 1.618], [1.0, -0.618]]}
+        self.run(tmp_path, capsys, cfg)
+
+    def test_points_region_rejected(self, tmp_path, capsys):
+        path = tmp_path / "pts.csv"
+        path.write_text("x\n0.0\n1.5\n3.0\n")
+        cfg = {"operation": "generate", "points": {"path": str(path)},
+               "region": {"lo": [0], "hi": [10]}}
+        assert cli.main(["generate", "--config", write_cfg(tmp_path, cfg),
+                         "--out", str(tmp_path / "top")]) == 0
+        report = json.loads((tmp_path / "top" / "report.json").read_text())
+        assert report["results"]["empirical_density"] == pytest.approx(0.3)
+        cfg["points"]["region"] = cfg.pop("region")
+        assert "top-level 'region'" in self.run(tmp_path, capsys, cfg)
+
+
+FUZZ_BASES = [
+    fib_generate_cfg(0, 30),
+    {"operation": "generate", "scheme": {"name": "ammann_beenker"},
+     "region": {"lo": [-3, -3], "hi": [3, 3]}},
+    {"operation": "analyze", "scheme": {"name": "fibonacci"},
+     "region": {"lo": [0], "hi": [40]}, "params": {"op": "difference_set", "radius": 5.0}},
+    {"operation": "analyze", "scheme": {"name": "silver"},
+     "params": {"op": "dual_candidates", "k_max": 1.0}},
+]
+
+FUZZ_WINDOWS = [
+    None,
+    {"type": "full"},
+    {"type": "intervals", "components": [{"lo": -0.5, "hi": 0.7}]},
+    {"type": "polygon", "vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]]},
+    {"type": "polygon", "components": [{"lo": -0.5, "hi": 0.7}]},
+    {"type": "intervals", "vertices": [[0, 0], [1, 0], [0, 1]]},
+]
+
+
+def _key_paths(obj, prefix=()):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield prefix + (key,)
+            yield from _key_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A small valid config with 1-3 mutations, and the verb it was written for."""
+    cfg = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    verb = cfg["operation"]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "swap", "dims", "window"]))
+        region = cfg.get("region")
+        if kind == "drop":
+            path = draw(st.sampled_from(list(_key_paths(cfg))))
+            parent = cfg
+            for key in path[:-1]:
+                parent = parent[key]
+            del parent[path[-1]]
+        elif kind == "swap" and region is not None and {"lo", "hi"} <= region.keys():
+            region["lo"], region["hi"] = region["hi"], region["lo"]
+        elif kind == "dims":
+            cfg["region"] = {"lo": [-2.0] * draw(st.integers(1, 3)),
+                             "hi": [2.0] * draw(st.integers(1, 3))}
+        elif kind == "window":
+            cfg["window"] = copy.deepcopy(draw(st.sampled_from(FUZZ_WINDOWS)))
+    return verb, cfg
+
+
+@settings(max_examples=50, deadline=None)
+@given(mutated_configs())
+def test_config_fuzz_exits_cleanly(case):
+    verb, cfg = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([verb, "--config", str(path), "--out", str(Path(tmp) / "o")])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_schema_is_valid_jsonschema():

@@ -1,13 +1,15 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import aperiodic as ap
+from aperiodic import scheme as sc
 from aperiodic.errors import (
     InjectivityViolation,
     NotInL,
@@ -151,6 +153,43 @@ class TestEnumerate:
         with pytest.raises(RegionTooLarge):
             ap.enumerate_cut(scheme, window, ap.Box.make([0], [1e9]))
 
+    def test_large_region_within_budget(self, fib):
+        scheme, window = fib
+        patch = ap.enumerate_cut(scheme, window, ap.Box.make([0], [30000]))
+        assert len(patch) / 30000 == pytest.approx(ap.model_density(scheme, window), rel=0.01)
+
+    @pytest.mark.parametrize("name, region, budget", [
+        ("fibonacci", ([0], [1e6]), 100_000),               # prefix rows alone exceed it
+        ("crystal_z2", ([0, 0], [2000, 2000]), 1_000_000),  # 4M candidate rows
+    ])
+    def test_budget_checked_before_allocating(self, name, region, budget):
+        scheme, window = ap.named_scheme(name)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RegionTooLarge):
+                ap.enumerate_cut(scheme, window, ap.Box.make(*region), budget=budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("name, region", [
+        ("fibonacci", ([-1], [20000])),
+        ("ammann_beenker", ([-40, -40], [40, 40])),
+    ])
+    def test_candidate_rows_track_points(self, name, region, monkeypatch):
+        built, lattice_points = [], sc.lattice_points
+
+        def spy(*args, **kwargs):
+            rows = lattice_points(*args, **kwargs)
+            built.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(sc, "lattice_points", spy)
+        scheme, window = ap.named_scheme(name)
+        patch = ap.enumerate_cut(scheme, window, ap.Box.make(*region))
+        assert built[0] <= 4 * len(patch)
+
     def test_float_mode_dense_star_cut(self):
         # float-mode scheme with irrational star direction; output must stay
         # uniformly discrete under a bounded window
@@ -174,6 +213,47 @@ class TestEnumerate:
         n_open = len(ap.enumerate_cut(scheme, open_, region))
         n_half = len(ap.enumerate_cut(scheme, window, region))
         assert n_open <= n_half <= n_closed
+
+
+@st.composite
+def lattice_boxes(draw):
+    """A well-conditioned k x k matrix (integer or irrational entries) and a box."""
+    k = draw(st.integers(1, 4))
+    ints = np.array(draw(st.lists(st.integers(-3, 3), min_size=2 * k * k,
+                                  max_size=2 * k * k)), dtype=np.float64)
+    matrix = ints[:k * k].reshape(k, k)
+    if draw(st.booleans()):
+        matrix = matrix + math.sqrt(2) / 3 * ints[k * k:].reshape(k, k)
+    assume(abs(np.linalg.det(matrix)) > 0.5 and np.linalg.cond(matrix) < 30)
+    quarters = st.integers(-40, 40).map(lambda q: q / 4)
+    lo = np.array(draw(st.lists(quarters, min_size=k, max_size=k)))
+    width = np.array(draw(st.lists(st.integers(0, 24).map(lambda q: q / 4),
+                                   min_size=k, max_size=k)))
+    return matrix, lo, lo + width
+
+
+class TestLatticePoints:
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_boxes())
+    def test_superset_of_brute_force(self, case):
+        matrix, lo, hi = case
+        k = len(lo)
+        corners = np.array(list(itertools.product(*zip(lo, hi)))) @ np.linalg.inv(matrix).T
+        nlo = np.floor(corners.min(axis=0)) - 2
+        nhi = np.ceil(corners.max(axis=0)) + 2
+        assume(np.prod(nhi - nlo + 1) <= 200_000)
+        grid = np.stack(np.meshgrid(*[np.arange(a, b + 1) for a, b in zip(nlo, nhi)],
+                                    indexing="ij"), axis=-1).reshape(-1, k)
+        image = grid @ matrix.T
+        inside = np.all((image >= lo) & (image <= hi), axis=1)
+        rows = sc.lattice_points(matrix, lo, hi)
+        assert {tuple(r) for r in grid[inside]} <= {tuple(r) for r in rows}
+        # lexicographic order, no duplicates, nothing beyond the float margin
+        assert np.all(np.lexsort(rows.T[::-1]) == np.arange(len(rows)))
+        assert len({tuple(r) for r in rows}) == len(rows)
+        slack = 2 * sc.INDEX_MARGIN * np.abs(matrix).sum(axis=1)
+        image = rows @ matrix.T
+        assert np.all((image >= lo - slack) & (image <= hi + slack))
 
 
 class TestModelDensity:

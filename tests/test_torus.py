@@ -116,6 +116,19 @@ class TestSingularity:
         tp = ap.torus_point_from_frac(scheme, [0.37])
         assert ap.singularity_test(scheme, None, tp, 100.0) == []
 
+    def test_polygon_band_reaches_full_width(self):
+        # a star 0.95 band outside an octagon edge lies inside the band
+        scheme, window = ap.ammann_beenker_scheme(), ap.ammann_beenker_window()
+        band = 0.01
+        a, b = window.vertices[0], window.vertices[1]
+        outward = np.array([b[1] - a[1], a[0] - b[0]]) / np.hypot(*(b - a))
+        star = scheme.star_of([[1, 0, 0, 0]])[0]
+        tp = ap.beta_of_cut(scheme, [0.0, 0.0], (a + b) / 2 + 0.95 * band * outward - star)
+        hits = ap.singularity_test(scheme, window, tp, 10.0, band=band)
+        shifted = window.translate(-tp.internal_offset())
+        assert any(abs(shifted.boundary_distance(hit.star) - 0.95 * band) < 1e-9
+                   for hit in hits)
+
     def test_generic_strip_matches_generic_scan(self, fib):
         scheme, window = fib
         from aperiodic.torus import _generic_hits, _strip_hits_1d
