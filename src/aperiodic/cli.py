@@ -120,26 +120,25 @@ def _check_requirements(cfg, results, warnings) -> bool:
     return ok
 
 
-def _inputs(cfg, need_points=True):
+def _inputs(cfg, need_points=True, need_window=True):
     scheme, window = build_scheme_window(cfg)
     region = build_region(cfg)
     if scheme is not None and region is not None and region.dim != scheme.d:
         raise ConfigError(f"region has dimension {region.dim}, "
                           f"but the scheme's physical space has dimension {scheme.d}")
-    if not need_points:
-        if scheme is None:
-            raise ConfigError(f"{cfg['operation']} needs a scheme")
-        return scheme, window, None, []
-    if "points" in cfg:
+    if need_points and "points" in cfg:
         fmt = cfg["points"].get("format", "csv")
         reader = io.ingest_csv if fmt == "csv" else io.ingest_json
         pset, warns = reader(cfg["points"]["path"], region)
         return scheme, window, pset, warns
-    if scheme is None or region is None:
-        raise ConfigError(f"{cfg['operation']} needs 'points', or a scheme and a region")
-    if scheme.m and window is None:
+    if scheme is None or (need_points and region is None):
+        wanted = "'points', or a scheme and a region" if need_points else "a scheme"
+        raise ConfigError(f"{cfg['operation']} needs {wanted}")
+    # enumeration and the window-reading operations need the window of a scheme
+    # with internal space; points read from a file do not
+    if scheme.m and window is None and (need_points or need_window):
         raise ConfigError(f"{cfg['operation']} needs a window for a scheme with internal space")
-    return scheme, window, enumerate_cut(scheme, window, region), []
+    return scheme, window, enumerate_cut(scheme, window, region) if need_points else None, []
 
 
 def _param(params, key):
@@ -168,8 +167,9 @@ def _h_analyze(cfg, out, warnings):
     sub = params.get("op")
     if sub is None:
         raise ConfigError("analyze needs params.op")
-    scheme, window, pset, warns = _inputs(cfg, need_points=sub not in
-                                          ("validate", "model_density", "dual_candidates"))
+    scheme, window, pset, warns = _inputs(
+        cfg, need_points=sub not in ("validate", "model_density", "dual_candidates"),
+        need_window=sub not in ("validate", "dual_candidates"))
     warnings.extend(warns)
     if sub == "validate":
         rep = validate_scheme(scheme)
@@ -274,7 +274,8 @@ def _h_diffract(cfg, out, warnings):
 def _h_torus(cfg, out, warnings):
     params = cfg.get("params", {})
     sub = params.get("op")
-    scheme, window, _, _ = _inputs(cfg, need_points=False)
+    scheme, window, _, _ = _inputs(cfg, need_points=False,
+                                   need_window=sub in ("singularity", "separation"))
     if sub == "embed":
         tp = tr.embed_translation(scheme, _param(params, "t"))
         return {"frac": tp.frac.tolist()}

@@ -1,6 +1,6 @@
-"""Vectorized numpy kernels for the 1D pair scan and the Weyl sums.
+"""Numpy kernels for the 1D pair scan and the Weyl sums.
 
-Both run sequentially, so their results are bit-reproducible run to run.
+Both are deterministic, so their results are bit-reproducible run to run.
 Point membership (eta counts, patch and translation matching) lives in
 ``pointset.match_index``.
 """
@@ -25,20 +25,15 @@ def weyl_sums_1d(pos, ks, slice_lo, slice_hi):
 
 
 def pairs_within_1d(pos, anchor_lo, anchor_hi, radius):
-    """Index pairs (i, j) with pos[i] in [anchor_lo, anchor_hi], |pos[j]-pos[i]| <= radius."""
+    """Index pairs (i, j) with pos[i] in [anchor_lo, anchor_hi], |pos[j]-pos[i]| <= radius,
+    anchor-major with j ascending."""
     pos = np.asarray(pos, dtype=np.float64)
     a0 = np.searchsorted(pos, anchor_lo, side="left")
     a1 = np.searchsorted(pos, anchor_hi, side="right")
     lo = np.searchsorted(pos, pos[a0:a1] - radius, side="left")
     hi = np.searchsorted(pos, pos[a0:a1] + radius, side="right")
     counts = hi - lo
-    total = int(counts.sum())
-    out_i = np.empty(total, dtype=np.int64)
-    out_j = np.empty(total, dtype=np.int64)
-    at = 0
-    for t in range(a1 - a0):
-        c = counts[t]
-        out_i[at:at + c] = a0 + t
-        out_j[at:at + c] = np.arange(lo[t], hi[t])
-        at += c
+    out_i = np.repeat(np.arange(a0, a1), counts)
+    # pair p lies in the block of anchor t ending at e = cumsum(counts)[t]; j = p + hi[t] - e
+    out_j = np.arange(int(counts.sum())) + np.repeat(hi - np.cumsum(counts), counts)
     return out_i, out_j

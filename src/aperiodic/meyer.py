@@ -183,10 +183,13 @@ def stepping_certificate(pset: IndexedPointSet, scheme: LatticeScheme,
         raise NotSchemeBacked("certificates need lattice indices")
     x_index = np.asarray(x_index, dtype=np.int64)
     y_index = np.asarray(y_index, dtype=np.int64)
-    index_rows = {tuple(row): i for i, row in enumerate(pset.index)}
-    if tuple(x_index) not in index_rows or tuple(y_index) not in index_rows:
+    if x_index.shape != (scheme.k,) or y_index.shape != (scheme.k,):
         raise NotInL("x and y must be points of the patch")
-    if tuple(np.zeros(scheme.k, dtype=np.int64)) not in index_rows:
+    rows = np.stack([x_index, y_index, np.zeros(scheme.k, dtype=np.int64)])
+    x_in, y_in, has_origin = (pset.index[:, None, :] == rows).all(axis=2).any(axis=0)
+    if not (x_in and y_in):
+        raise NotInL("x and y must be points of the patch")
+    if not has_origin:
         raise ChainFailure(-1, "the patch must contain the origin")
     if k_half is None:
         k_half = 1.1 * covering_half_width(pset)

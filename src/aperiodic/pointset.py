@@ -238,10 +238,13 @@ def _rows_in(points, box: Box) -> np.ndarray:
     return seg[box.contains(seg, tol=MATCH_TOL)]
 
 
-def _dedupe_rows(rows: np.ndarray) -> np.ndarray:
-    if len(rows) == 0:
-        return rows
-    return np.unique(rows, axis=0)
+def _first_rows(rows: np.ndarray) -> np.ndarray:
+    """Positions of the first occurrence of each distinct row, in lexicographic row order."""
+    order = np.lexsort(rows.T[::-1])
+    srt = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+    return order[new]
 
 
 def difference_set(pset: IndexedPointSet, radius: float) -> IndexedPointSet:
@@ -250,7 +253,10 @@ def difference_set(pset: IndexedPointSet, radius: float) -> IndexedPointSet:
     Anchors are restricted to the region core at depth ``radius`` so every
     reported difference type is supported by a fully observed neighborhood.
     Scheme-backed input yields a scheme-backed difference patch (index and
-    star columns are differenced too).
+    star columns are differenced too) with one row per distinct index
+    difference, deduplicated in lexicographic index order; raw input keeps the
+    first difference in pair-scan order of each QUANT cell.  Either way the
+    rows are then sorted by physical coordinates.
     """
     r = float(radius)
     core = pset.region.shrink(r)  # raises RegionTooSmall
@@ -262,19 +268,14 @@ def difference_set(pset: IndexedPointSet, radius: float) -> IndexedPointSet:
         ii, jj = _pairs_within_nd(pset, core, r)
     diffs = pset.physical[jj] - pset.physical[ii]
     keep = np.einsum("ij,ij->i", diffs, diffs) <= r * r + 1e-12
-    ii, jj = ii[keep], jj[keep]
     if pset.is_scheme_backed:
-        didx = pset.index[jj] - pset.index[ii]
-        didx = _dedupe_rows(didx)
-        basis = pset.scheme.basis
-        full = didx @ basis.T
-        phys = full[:, :pset.scheme.d]
-        star = full[:, pset.scheme.d:]
+        didx = pset.index[jj[keep]] - pset.index[ii[keep]]
+        didx = didx[_first_rows(didx)]
+        phys, star = np.split(didx @ pset.scheme.basis.T, [pset.scheme.d], axis=1)
         return IndexedPointSet(phys, out_region, didx, star, pset.scheme)
-    diffs = pset.physical[jj] - pset.physical[ii]
-    quant = np.round(diffs / QUANT).astype(np.int64)
-    _, first = np.unique(quant, axis=0, return_index=True)
-    return IndexedPointSet(diffs[np.sort(first)], out_region)
+    diffs = diffs[keep]
+    first = _first_rows(np.round(diffs / QUANT).astype(np.int64))
+    return IndexedPointSet(diffs[first], out_region)
 
 
 def _pairs_within_nd(pset, core: Box, r: float):

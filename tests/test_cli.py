@@ -22,6 +22,10 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
     return str(path)
 
 
+# a Fibonacci-like scheme with internal space but no window
+WINDOWLESS_SCHEME = {"d": 1, "m": 1, "basis": [[1.0, 1.618], [1.0, -0.618]]}
+
+
 def fib_generate_cfg(lo=0, hi=200):
     return {
         "operation": "generate",
@@ -188,6 +192,14 @@ class TestRuns:
         report, ok = cli.execute(cfg2, out2)
         assert ok and report["results"]["singular"] is False
 
+    def test_operations_that_read_no_window_run_without_one(self, tmp_path):
+        for operation, params in [("analyze", {"op": "dual_candidates", "k_max": 1.0}),
+                                  ("analyze", {"op": "validate"}),
+                                  ("torus", {"op": "embed", "t": [0.5]})]:
+            cfg = {"operation": operation, "scheme": WINDOWLESS_SCHEME, "params": params}
+            assert cli.main([operation, "--config", write_cfg(tmp_path, cfg),
+                             "--out", str(tmp_path / "o")]) == 0
+
     def test_almost_periods_run(self, tmp_path):
         cfg = {
             "operation": "almost_periods",
@@ -313,8 +325,24 @@ class TestConfigErrors:
 
     def test_inline_scheme_without_window(self, tmp_path, capsys):
         cfg = fib_generate_cfg()
-        cfg["scheme"] = {"d": 1, "m": 1, "basis": [[1.0, 1.618], [1.0, -0.618]]}
+        cfg["scheme"] = WINDOWLESS_SCHEME
         self.run(tmp_path, capsys, cfg)
+
+    def windowless(self, tmp_path, capsys, operation, params):
+        cfg = {"operation": operation, "scheme": WINDOWLESS_SCHEME, "params": params, "seed": 1}
+        assert "needs a window" in self.run(tmp_path, capsys, cfg)
+
+    def test_fiber_without_window(self, tmp_path, capsys):
+        self.windowless(tmp_path, capsys, "fiber", {"frac": [0.1, 0.2]})
+
+    def test_torus_singularity_without_window(self, tmp_path, capsys):
+        self.windowless(tmp_path, capsys, "torus", {"op": "singularity", "frac": [0.1, 0.2]})
+
+    def test_torus_separation_without_window(self, tmp_path, capsys):
+        self.windowless(tmp_path, capsys, "torus", {"op": "separation", "samples": 3})
+
+    def test_model_density_without_window(self, tmp_path, capsys):
+        self.windowless(tmp_path, capsys, "analyze", {"op": "model_density"})
 
     def test_points_region_rejected(self, tmp_path, capsys):
         path = tmp_path / "pts.csv"

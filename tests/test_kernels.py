@@ -61,14 +61,14 @@ def test_weyl_sums_agree(data):
 
 def test_pairs_within_oracle(data):
     pos, _ = data
-    expected = set()
-    for i, x in enumerate(pos):
-        if 20.0 <= x <= 80.0:
-            for j, y in enumerate(pos):
-                if abs(y - x) <= 5.0:
-                    expected.add((i, j))
-    ii, jj = kernels.pairs_within_1d(pos, 20.0, 80.0, 5.0)
-    assert set(zip(ii.tolist(), jj.tolist())) == expected
+    # the last two anchor ranges hold no point
+    for lo, hi in [(20.0, 80.0), (pos[7] + 1e-9, pos[8] - 1e-9), (80.0, 20.0)]:
+        expected = [(i, j) for i, x in enumerate(pos) if lo <= x <= hi
+                    for j, y in enumerate(pos) if abs(y - x) <= 5.0]
+        ii, jj = kernels.pairs_within_1d(pos, lo, hi, 5.0)
+        assert ii.dtype == jj.dtype == np.int64
+        # anchor-major, j ascending: the raw difference set keeps the first pair per cell
+        assert list(zip(ii.tolist(), jj.tolist())) == expected
 
 
 def test_translate_match_oracle():

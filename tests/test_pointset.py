@@ -11,7 +11,7 @@ from aperiodic.errors import (
     RegionTooSmall,
     UndefinedStatistic,
 )
-from aperiodic.pointset import MATCH_TOL, Box, IndexedPointSet, match_index
+from aperiodic.pointset import MATCH_TOL, QUANT, Box, IndexedPointSet, match_index
 
 TAU = (1 + math.sqrt(5)) / 2
 
@@ -40,6 +40,60 @@ class TestBasics:
             Box.make([1.0], [1.0])
         with pytest.raises(RegionTooSmall):
             Box.make([0], [4]).shrink(3)
+
+
+def _difference_oracle(pset, r):
+    """``difference_set`` by a double loop over all pairs, deduplicated with np.unique."""
+    core = pset.region.shrink(r)
+    pts = pset.physical.tolist()
+    pairs = []
+    for i, x in enumerate(pts):
+        if not core.contains(x)[0]:
+            continue
+        for j, y in enumerate(pts):
+            # the pair scan's strip on the first coordinate, then the norm test
+            if x[0] - r <= y[0] <= x[0] + r and \
+                    sum((b - a) ** 2 for a, b in zip(x, y)) <= r * r + 1e-12:
+                pairs.append((i, j))
+    ii, jj = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    out_region = Box.centered(r, pset.dim)
+    if pset.is_scheme_backed:
+        didx = np.unique(pset.index[jj] - pset.index[ii], axis=0)
+        full = didx @ pset.scheme.basis.T
+        d = pset.scheme.d
+        return IndexedPointSet(full[:, :d], out_region, didx, full[:, d:], pset.scheme)
+    diffs = pset.physical[jj] - pset.physical[ii]
+    _, first = np.unique(np.round(diffs / QUANT).astype(np.int64), axis=0, return_index=True)
+    return IndexedPointSet(diffs[np.sort(first)], out_region)
+
+
+def _assert_same_differences(got, want):
+    assert np.array_equal(got.physical, want.physical)
+    for a, b in ((got.index, want.index), (got.star, want.star)):
+        assert (a is None) == (b is None)
+        assert a is None or np.array_equal(a, b)
+
+
+@st.composite
+def _patch_case(draw):
+    """A random sub-region of the Fibonacci line or the Ammann-Beenker plane and a radius."""
+    name = draw(st.sampled_from(["fib", "ab"]))
+    dim = 1 if name == "fib" else 2
+    side = draw(st.floats(1.0, 40.0 if dim == 1 else 12.0))
+    lo = [draw(st.floats(-100.0, 100.0)) for _ in range(dim)]
+    radius = draw(st.floats(0.3, side / 2 - 0.1))
+    return name, Box.make(lo, [v + side for v in lo]), radius
+
+
+@st.composite
+def _grid_cloud(draw):
+    """A raw cloud on a 0.1 grid: many differences repeat exactly or up to rounding."""
+    dim = draw(st.integers(1, 2))
+    cells = draw(st.lists(st.tuples(*[st.integers(0, 40)] * dim),
+                          min_size=1, max_size=60, unique=True))
+    pset = IndexedPointSet(np.array(cells, dtype=np.float64) * 0.1,
+                           Box.make([0.0] * dim, [4.0] * dim))
+    return pset, draw(st.floats(0.05, 1.9))
 
 
 class TestDifferenceSet:
@@ -82,6 +136,22 @@ class TestDifferenceSet:
         assert diffs.index is not None
         recon = scheme.physical_of(diffs.index)[:, 0]
         assert np.allclose(np.sort(recon), diffs.positions_1d())
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_patch_case())
+    def test_oracle_scheme_patches(self, fib, ab, case):
+        name, region, radius = case
+        scheme, window = fib if name == "fib" else ab
+        patch = ap.enumerate_cut(scheme, window, region)
+        _assert_same_differences(ap.difference_set(patch, radius),
+                                 _difference_oracle(patch, radius))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_grid_cloud())
+    def test_oracle_raw_clouds(self, case):
+        pset, radius = case
+        _assert_same_differences(ap.difference_set(pset, radius),
+                                 _difference_oracle(pset, radius))
 
 
 class TestPackingRadius:
