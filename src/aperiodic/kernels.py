@@ -1,13 +1,17 @@
-"""Numpy kernels for the 1D pair scan and the Weyl sums.
+"""Numpy kernels: the strip pair scan and the Weyl sums.
 
-Both are deterministic, so their results are bit-reproducible run to run.
-Point membership (eta counts, patch and translation matching) lives in
-``pointset.match_index``.
+All are deterministic, so their results are bit-reproducible run to run.
+The strip pair scan, in any dimension, finds the point pairs behind
+difference sets, FLC clusters, eta counts and nearest-neighbour distances;
+the callers filter its pairs on the remaining coordinates.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Pair rows per chunk of strip_pairs: bounds the working memory of every pair scan.
+PAIR_BUDGET = 1 << 12
 
 
 def weyl_sums_1d(pos, ks, slice_lo, slice_hi):
@@ -24,16 +28,31 @@ def weyl_sums_1d(pos, ks, slice_lo, slice_hi):
     return out
 
 
-def pairs_within_1d(pos, anchor_lo, anchor_hi, radius):
-    """Index pairs (i, j) with pos[i] in [anchor_lo, anchor_hi], |pos[j]-pos[i]| <= radius,
-    anchor-major with j ascending."""
-    pos = np.asarray(pos, dtype=np.float64)
-    a0 = np.searchsorted(pos, anchor_lo, side="left")
-    a1 = np.searchsorted(pos, anchor_hi, side="right")
-    lo = np.searchsorted(pos, pos[a0:a1] - radius, side="left")
-    hi = np.searchsorted(pos, pos[a0:a1] + radius, side="right")
-    counts = hi - lo
-    out_i = np.repeat(np.arange(a0, a1), counts)
-    # pair p lies in the block of anchor t ending at e = cumsum(counts)[t]; j = p + hi[t] - e
-    out_j = np.arange(int(counts.sum())) + np.repeat(hi - np.cumsum(counts), counts)
-    return out_i, out_j
+def expand_ranges(start, stop):
+    """(t, p) for every p in every range [start[t], stop[t]), t-major with p ascending."""
+    counts = np.maximum(np.asarray(stop) - start, 0)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    # p of range t lies in the block ending at e = cumsum(counts)[t]: p = position - e + stop[t]
+    return owner, np.arange(int(counts.sum())) + np.repeat(stop - np.cumsum(counts), counts)
+
+
+def strip_pairs(x, anchors, lo, hi):
+    """Chunks (i, j) of the index pairs with i in ``anchors`` and lo <= x[j] - x[i] <= hi.
+
+    ``x`` is sorted ascending (the first coordinate of lexicographically
+    sorted points) and ``anchors`` ascending.  Pairs come anchor-major with j
+    ascending, as int64.  A chunk holds the pairs of whole anchors, at most
+    PAIR_BUDGET of them unless a single anchor has more.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    anchors = np.asarray(anchors, dtype=np.int64)
+    start = np.searchsorted(x, x[anchors] + lo, side="left")
+    stop = np.searchsorted(x, x[anchors] + hi, side="right")
+    ends = np.cumsum(np.maximum(stop - start, 0))
+    a = 0
+    while a < len(anchors):
+        done = ends[a - 1] if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, done + PAIR_BUDGET, side="right")))
+        t, j = expand_ranges(start[a:b], stop[a:b])
+        yield anchors[a:b][t], j
+        a = b

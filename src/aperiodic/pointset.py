@@ -3,9 +3,10 @@
 A patch is stored with the axis-aligned box on which it is exhaustive, so
 every statistic can restrict its anchors to a core that avoids edge
 artifacts.  Scheme-backed patches additionally carry exact integer lattice
-indices and star coordinates.  Every point-membership question -- eta
-counts, patch and translation matching, symmetric differences -- is
-answered by ``match_index``.
+indices and star coordinates.  Patch and translation matching and symmetric
+differences test point membership with ``match_index``; difference sets and
+FLC clusters come from the strip pair scan of ``kernels.strip_pairs``, which
+also feeds the pair histogram behind the eta counts (``autocorr``).
 """
 
 from __future__ import annotations
@@ -109,7 +110,8 @@ class IndexedPointSet:
         self.region = region
         self.index = None if index is None else np.asarray(index, dtype=np.int64)
         self.star = None if star is None else np.atleast_2d(np.asarray(star, dtype=np.float64))
-        if self.star is not None and self.star.size == 0:
+        if self.star is not None and len(self.star) != len(phys) and self.star.size == 0:
+            # a flat empty star list stands for no internal space
             self.star = self.star.reshape(len(phys), 0)
         self.scheme = scheme
         if len(phys) > 1:
@@ -238,13 +240,27 @@ def _rows_in(points, box: Box) -> np.ndarray:
     return seg[box.contains(seg, tol=MATCH_TOL)]
 
 
-def _first_rows(rows: np.ndarray) -> np.ndarray:
-    """Positions of the first occurrence of each distinct row, in lexicographic row order."""
+def _first_rows(rows: np.ndarray):
+    """Positions of the first occurrence of each distinct row, in lexicographic
+    row order, and the number of occurrences of each."""
     order = np.lexsort(rows.T[::-1])
     srt = rows[order]
     new = np.ones(len(rows), dtype=bool)
     new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
-    return order[new]
+    starts = np.flatnonzero(new)
+    return order[starts], np.diff(np.append(starts, len(rows)))
+
+
+def _pairs_within(points, anchors, r):
+    """Index pairs (i, j) with i in ``anchors`` and Euclidean |points[j] - points[i]| <= r
+    (1e-12 slack on r**2), anchor-major with j ascending."""
+    ii, jj = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for i, j in kernels.strip_pairs(points[:, 0], anchors, -r, r):
+        v = points[j] - points[i]
+        keep = np.einsum("ij,ij->i", v, v) <= r * r + 1e-12
+        ii.append(i[keep])
+        jj.append(j[keep])
+    return np.concatenate(ii), np.concatenate(jj)
 
 
 def difference_set(pset: IndexedPointSet, radius: float) -> IndexedPointSet:
@@ -261,61 +277,45 @@ def difference_set(pset: IndexedPointSet, radius: float) -> IndexedPointSet:
     r = float(radius)
     core = pset.region.shrink(r)  # raises RegionTooSmall
     out_region = Box.centered(r, pset.dim)
-    if pset.dim == 1:
-        pos = pset.positions_1d()
-        ii, jj = kernels.pairs_within_1d(pos, float(core.lo[0]), float(core.hi[0]), r)
-    else:
-        ii, jj = _pairs_within_nd(pset, core, r)
-    diffs = pset.physical[jj] - pset.physical[ii]
-    keep = np.einsum("ij,ij->i", diffs, diffs) <= r * r + 1e-12
+    ii, jj = _pairs_within(pset.physical, np.flatnonzero(core.contains(pset.physical)), r)
     if pset.is_scheme_backed:
-        didx = pset.index[jj[keep]] - pset.index[ii[keep]]
-        didx = didx[_first_rows(didx)]
+        didx = pset.index[jj] - pset.index[ii]
+        didx = didx[_first_rows(didx)[0]]
         phys, star = np.split(didx @ pset.scheme.basis.T, [pset.scheme.d], axis=1)
         return IndexedPointSet(phys, out_region, didx, star, pset.scheme)
-    diffs = diffs[keep]
-    first = _first_rows(np.round(diffs / QUANT).astype(np.int64))
+    diffs = pset.physical[jj] - pset.physical[ii]
+    first, _ = _first_rows(np.round(diffs / QUANT).astype(np.int64))
     return IndexedPointSet(diffs[first], out_region)
-
-
-def _pairs_within_nd(pset, core: Box, r: float):
-    pos = pset.physical
-    anchor_ids = np.flatnonzero(core.contains(pos))
-    x = pos[:, 0]
-    out_i, out_j = [], []
-    for i in anchor_ids:
-        lo = np.searchsorted(x, pos[i, 0] - r, side="left")
-        hi = np.searchsorted(x, pos[i, 0] + r, side="right")
-        cand = np.arange(lo, hi)
-        d2 = np.sum((pos[cand] - pos[i]) ** 2, axis=1)
-        sel = cand[d2 <= r * r + 1e-12]
-        out_i.append(np.full(len(sel), i, dtype=np.int64))
-        out_j.append(sel)
-    if not out_i:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(out_i), np.concatenate(out_j)
 
 
 def packing_radius(pset: IndexedPointSet) -> float:
     """Half the minimum pairwise distance."""
-    n = len(pset)
-    if n < 2:
+    if len(pset) < 2:
         raise UndefinedStatistic("packing radius needs at least two points")
     if pset.dim == 1:
         gaps = np.diff(pset.positions_1d())
         return float(gaps.min()) / 2.0
-    pos = pset.physical
-    x = pos[:, 0]
-    best = np.inf
-    for i in range(n):
-        hi = np.searchsorted(x, x[i] + best, side="right")
-        for j in range(i + 1, hi):
-            d = float(np.hypot(*(pos[j] - pos[i]))) if pos.shape[1] == 2 else \
-                float(np.linalg.norm(pos[j] - pos[i]))
-            if d < best:
-                best = d
-                hi = np.searchsorted(x, x[i] + best, side="right")
-    return best / 2.0
+    dist = (lambda v: np.hypot(*v)) if pset.dim == 2 else np.linalg.norm
+    return min(float(dist(v)) for v in _closest_differences(pset.physical)) / 2.0
+
+
+def _closest_differences(points):
+    """Differences p_j - p_i (i < j) of lexicographically sorted ``points`` whose
+    nonzero Euclidean length is within a relative 1e-9 of the least one.
+
+    The least nonzero distance is at most that from some point to its
+    lexicographic successor, which bounds the pair scan.  Callers take the
+    minimum of their own distance expression over the rows.
+    """
+    step = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    bound = step[step > 0].min(initial=np.inf)
+    if bound == np.inf:
+        return np.empty((0, points.shape[1]))
+    ii, jj = _pairs_within(points, np.arange(len(points)), bound * (1 + 1e-9))
+    diffs = points[jj] - points[ii]
+    dist = np.linalg.norm(diffs, axis=1)
+    keep = (jj > ii) & (dist > 0)
+    return diffs[keep][dist[keep] <= dist[keep].min() * (1 + 1e-9)]
 
 
 @dataclass
@@ -330,28 +330,31 @@ class ClusterReport:
 
 
 def flc_clusters(pset: IndexedPointSet, radius: float, quant=QUANT) -> ClusterReport:
-    """Distinct radius-R neighborhoods up to translation, with multiplicities."""
+    """Distinct radius-R neighborhoods up to translation, with multiplicities.
+
+    Two anchors share a cluster when their offset rows, in pair-scan order,
+    agree after rounding to ``quant``; the offsets of the first such anchor
+    represent the cluster.
+    """
     r = float(radius)
     core = pset.region.shrink(r)
-    pos = pset.physical
-    anchor_ids = np.flatnonzero(core.contains(pos))
-    x = pos[:, 0]
-    seen = {}
-    for i in anchor_ids:
-        lo = np.searchsorted(x, pos[i, 0] - r, side="left")
-        hi = np.searchsorted(x, pos[i, 0] + r, side="right")
-        cand = np.arange(lo, hi)
-        offs = pos[cand] - pos[i]
-        d2 = np.sum(offs ** 2, axis=1)
-        offs = offs[d2 <= r * r + 1e-12]
-        key = tuple(map(tuple, np.round(offs / quant).astype(np.int64)))
-        if key in seen:
-            seen[key][1] += 1
-        else:
-            seen[key] = [offs, 1]
-    clusters = sorted(((v[0], v[1]) for v in seen.values()),
+    anchors = np.flatnonzero(core.contains(pset.physical))
+    ii, jj = _pairs_within(pset.physical, anchors, r)
+    offs = pset.physical[jj] - pset.physical[ii]
+    ends = np.searchsorted(ii, anchors, side="right")
+    sizes = np.diff(ends, prepend=0)
+    starts = ends - sizes
+    # one key row per anchor: its offset count, then its quantized offsets, zero-padded
+    keys = np.zeros((len(anchors), 1 + sizes.max(initial=0) * pset.dim), dtype=np.int64)
+    keys[:, 0] = sizes
+    owner = np.repeat(np.arange(len(anchors)), sizes)
+    col = 1 + (np.arange(len(ii)) - starts[owner]) * pset.dim
+    keys[owner[:, None], col[:, None] + np.arange(pset.dim)] = \
+        np.round(offs / quant).astype(np.int64)
+    first, mult = _first_rows(keys)
+    clusters = sorted(((offs[starts[t]:ends[t]], int(m)) for t, m in zip(first, mult)),
                       key=lambda c: (-c[1], c[0].tobytes()))
-    return ClusterReport(r, clusters, len(anchor_ids))
+    return ClusterReport(r, clusters, len(anchors))
 
 
 @dataclass

@@ -19,7 +19,7 @@ from .errors import (
     SingularBasis,
 )
 from .exactmath import QuadExact, as_quad, exact_det, rational_kernel_vector
-from .pointset import Box, IndexedPointSet
+from .pointset import Box, IndexedPointSet, _closest_differences
 
 DEFAULT_FLOAT_TOL = 1e-9
 ENUM_BUDGET = 10_000_000  # rows one lattice_points call may build
@@ -228,18 +228,9 @@ def _denseness_diagnostic(scheme: LatticeScheme, sample_sizes):
 
 
 def _min_nn_distance(points: np.ndarray) -> float:
-    order = np.lexsort(points.T[::-1])
-    pts = points[order]
-    x = pts[:, 0]
-    best = np.inf
-    for i in range(len(pts)):
-        hi = np.searchsorted(x, x[i] + best, side="right")
-        for j in range(i + 1, hi):
-            dist = float(np.linalg.norm(pts[j] - pts[i]))
-            if dist < best and dist > 0:
-                best = dist
-                hi = np.searchsorted(x, x[i] + best, side="right")
-    return best
+    """Least nonzero distance between two of ``points``; inf if there is none."""
+    pts = points[np.lexsort(points.T[::-1])]
+    return min((float(np.linalg.norm(v)) for v in _closest_differences(pts)), default=np.inf)
 
 
 def lattice_points(matrix, lo, hi, budget: int = ENUM_BUDGET) -> np.ndarray:

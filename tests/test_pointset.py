@@ -130,6 +130,14 @@ class TestDifferenceSet:
         with pytest.raises(RegionTooSmall):
             ap.difference_set(ps, 20.0)
 
+    def test_empty_keeps_column_counts(self, fib):
+        # no point of the patch lies in the core [1.45, 1.55]
+        patch = ap.enumerate_cut(*fib, Box.make([0.0], [3.0]))
+        diffs = ap.difference_set(patch, 1.45)
+        assert diffs.physical.shape == (0, 1)
+        assert diffs.index.shape == (0, 2)
+        assert diffs.star.shape == (0, 1)
+
     def test_scheme_backed_indices(self, fib_patch_small, fib):
         scheme, _ = fib
         diffs = ap.difference_set(fib_patch_small, 10.0)
@@ -189,6 +197,68 @@ class TestFlcClusters:
         r_small = ap.flc_clusters(small, 1.2)
         r_big = ap.flc_clusters(big, 1.2)
         assert r_big.count > r_small.count
+
+
+def _flc_reference(pset, radius, quant=QUANT):
+    """``flc_clusters`` as a per-anchor loop keyed by tuples of rounded offsets."""
+    r = float(radius)
+    core = pset.region.shrink(r)
+    pos = pset.physical
+    anchor_ids = np.flatnonzero(core.contains(pos))
+    x = pos[:, 0]
+    seen = {}
+    for i in anchor_ids:
+        lo = np.searchsorted(x, pos[i, 0] - r, side="left")
+        hi = np.searchsorted(x, pos[i, 0] + r, side="right")
+        cand = np.arange(lo, hi)
+        offs = pos[cand] - pos[i]
+        d2 = np.sum(offs ** 2, axis=1)
+        offs = offs[d2 <= r * r + 1e-12]
+        key = tuple(map(tuple, np.round(offs / quant).astype(np.int64)))
+        if key in seen:
+            seen[key][1] += 1
+        else:
+            seen[key] = [offs, 1]
+    clusters = sorted(((v[0], v[1]) for v in seen.values()),
+                      key=lambda c: (-c[1], c[0].tobytes()))
+    return clusters, len(anchor_ids)
+
+
+def _assert_same_clusters(pset, radius):
+    rep = ap.flc_clusters(pset, radius)
+    clusters, anchors = _flc_reference(pset, radius)
+    assert rep.anchor_count == anchors
+    assert [m for _, m in rep.clusters] == [m for _, m in clusters]
+    assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(rep.clusters, clusters))
+
+
+class TestFlcOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(case=_patch_case())
+    def test_scheme_patches(self, fib, ab, case):
+        name, region, radius = case
+        scheme, window = fib if name == "fib" else ab
+        _assert_same_clusters(ap.enumerate_cut(scheme, window, region), radius)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_grid_cloud())
+    def test_raw_clouds(self, case):
+        _assert_same_clusters(*case)
+
+    def test_random_control(self, random_patch):
+        _assert_same_clusters(random_patch, 10.0)
+
+    def test_near_coincident_points(self):
+        # the neighbourhoods of 1 and 6 both round to [-1, 0] followed by
+        # zeros; only their sizes (3 and 2 points) tell them apart
+        pts = np.array([0.0, 1.0, 1.0 + 3e-8, 5.0, 6.0])[:, None]
+        pset = IndexedPointSet(pts, Box.make([-2.0], [8.0]))
+        _assert_same_clusters(pset, 1.5)
+        assert sorted(m for _, m in ap.flc_clusters(pset, 1.5).clusters) == [1, 1, 1, 2]
+
+    def test_square_lattice(self):
+        patch = ap.enumerate_cut(ap.integer_crystal(2), None, Box.make([-6, -6], [6, 6]))
+        _assert_same_clusters(patch, 2.5)
 
 
 class TestRepetition:
