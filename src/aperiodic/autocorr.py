@@ -28,7 +28,6 @@ from .pointset import (
     _coverage_gap,
     _distinct_matches,
     _pairs_within,
-    _within,
     difference_set,
     match_index,
 )
@@ -124,11 +123,9 @@ def eta_table_for_deltas(pset: IndexedPointSet, deltas, boxes,
 
     For scheme-backed sets the candidates can be generated directly (the
     difference set lives inside the cut of the window difference), which
-    avoids the quadratic pair scan for large radii; their lattice indices,
-    passed as ``delta_index``, let the counts decide membership by index
-    equality.  Counting uses only nonnegative canonical representatives, so
-    in dimension 1 the patch needs to cover each box extended by the radius
-    on the positive side only.
+    avoids the quadratic pair scan for large radii.  Counting uses only
+    nonnegative canonical representatives, so in dimension 1 the patch needs
+    to cover each box extended by the radius on the positive side only.
     """
     deltas = np.atleast_2d(np.asarray(deltas, dtype=np.float64))
     if radius is None:
@@ -144,8 +141,7 @@ def eta_table_for_deltas(pset: IndexedPointSet, deltas, boxes,
                     f"patch region {pset.region} does not cover box {box} "
                     f"extended by {radius}")
     canon, mirror = _canonical_pairs(deltas)
-    counts = _eta_counts(pset, deltas[canon], boxes,
-                         None if delta_index is None else np.asarray(delta_index)[canon])
+    counts = _eta_counts(pset, deltas[canon], boxes)
     vols = np.array([b.volume() for b in boxes])
     eta = np.empty((len(deltas), len(boxes)))
     eta[canon] = counts / vols
@@ -178,7 +174,7 @@ def _canonical_pairs(deltas: np.ndarray):
     return np.flatnonzero(~negative), np.stack([rows[paired], partner[paired]], axis=1)
 
 
-def _eta_counts(pset, deltas, boxes, delta_index=None):
+def _eta_counts(pset, deltas, boxes):
     """counts[i, j] = card{x in P and boxes[j] : x + deltas[i] in P}, from a pair histogram.
 
     One strip pair scan over the anchors of every box collects the pairs
@@ -186,15 +182,15 @@ def _eta_counts(pset, deltas, boxes, delta_index=None):
     widened by 2*MATCH_TOL.  A binary search and a forward scan on the first
     coordinate of the lexsorted deltas give each pair its candidate rows
     (those within 2*MATCH_TOL of its difference there), and each candidate
-    is decided exactly: by n_y - n_x == n_delta when P is scheme-backed and
-    ``delta_index`` holds the deltas' lattice indices, otherwise by
-    |y - (x + delta)|_inf <= MATCH_TOL, the test of ``match_index``.  A hit
-    credits every box that holds its anchor, through one count per pattern
-    of boxes.  Two partners of one (x, delta) lie within 2*MATCH_TOL of each
-    other, so only the hits whose partner has such a neighbour are
-    deduplicated; every count is exact.
+    is decided by |y - (x + delta)|_inf <= MATCH_TOL, the test of
+    ``match_index``.  A hit credits every box that holds its anchor, through
+    one count per pattern of boxes.  Two partners of one (x, delta) lie
+    within 2*MATCH_TOL of each other, so only the hits whose partner has such
+    a neighbour are deduplicated; every count is exact.
     """
-    pts, x = pset.physical, pset.physical[:, 0]
+    pts = pset.physical
+    cols = np.ascontiguousarray(pts.T)
+    x = cols[0]
     n_d = len(deltas)
     in_box = np.array([pset.contains_mask(b) for b in boxes], dtype=bool)
     in_box = in_box.reshape(len(boxes), len(pts)).T
@@ -204,22 +200,18 @@ def _eta_counts(pset, deltas, boxes, delta_index=None):
     hist = np.zeros(n_d * len(patterns), dtype=np.int64)
     order = np.lexsort(deltas.T[::-1])
     srt = deltas[order]
-    d0 = np.append(srt[:, 0], np.inf)  # the sentinel ends every forward scan
-    exact = pset.is_scheme_backed and delta_index is not None
-    if exact:
-        index_cols = pset.index.T
-        delta_cols = np.asarray(delta_index, dtype=np.int64)[order].T
-    else:
-        # only a partner with another point within 2*MATCH_TOL can repeat a hit
-        ii, jj = _pairs_within(pts, np.arange(len(pts)), 3 * MATCH_TOL * pset.dim)
-        crowded = np.bincount(ii[ii != jj], minlength=len(pts)) > 0
+    dcols = np.ascontiguousarray(srt.T)
+    d0 = np.append(dcols[0], np.inf)  # the sentinel ends every forward scan
+    # only a partner with another point within 2*MATCH_TOL can repeat a hit
+    ii, jj = _pairs_within(pts, np.arange(len(pts)), 3 * MATCH_TOL * pset.dim)
+    crowded = np.bincount(ii[ii != jj], minlength=len(pts)) > 0
     reach = 2 * MATCH_TOL
     lo, hi = srt.min(axis=0, initial=np.inf) - reach, srt.max(axis=0, initial=-np.inf) + reach
     anchors = np.flatnonzero(in_box.any(axis=1))
     for i, j in kernels.strip_pairs(x, anchors, lo[0], hi[0]):
-        if pset.dim > 1:
-            v = pts[j] - pts[i]
-            near = np.all((v >= lo) & (v <= hi), axis=1)
+        for c in range(1, pset.dim):
+            v = cols[c][j] - cols[c][i]
+            near = (v >= lo[c]) & (v <= hi[c])
             i, j = i[near], j[near]
         v0 = x[j] - x[i]
         # candidate rows [first, stop): a binary search, then a forward scan
@@ -231,14 +223,12 @@ def _eta_counts(pset, deltas, boxes, delta_index=None):
             live = live[d0[stop[live]] <= v0[live] + reach]
         p, k = kernels.expand_ranges(first, stop)
         i, j = i[p], j[p]
-        if exact:
-            hit = np.ones(len(k), dtype=bool)
-            for col, dcol in zip(index_cols, delta_cols):
-                hit &= col[j] - col[i] == dcol[k]
-        else:
-            hit = _within(pts[j], srt[k] + pts[i], MATCH_TOL)
-            # drop repeat hits of one (x, delta); they need a crowded partner
-            dup = np.flatnonzero(hit & crowded[j])
+        hit = np.ones(len(k), dtype=bool)
+        for col, dcol in zip(cols, dcols):
+            hit &= np.abs(col[j] - (dcol[k] + col[i])) <= MATCH_TOL
+        # drop repeat hits of one (x, delta); they need a crowded partner
+        dup = np.flatnonzero(hit & crowded[j])
+        if len(dup):
             _, once = np.unique(i[dup] * n_d + k[dup], return_index=True)
             hit[np.delete(dup, once)] = False
         np.add.at(hist, k[hit] * len(patterns) + pattern[i[hit]], 1)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# Pair rows per chunk of strip_pairs: bounds the working memory of every pair scan.
+# Pair rows per chunk of strip_pairs.  This bounds the strip chunk only: the
+# eta scan expands each pair to its candidate deltas, and the pair lists of
+# difference sets and FLC clusters are concatenated whole.
 PAIR_BUDGET = 1 << 12
 
 

@@ -296,26 +296,28 @@ def packing_radius(pset: IndexedPointSet) -> float:
         gaps = np.diff(pset.positions_1d())
         return float(gaps.min()) / 2.0
     dist = (lambda v: np.hypot(*v)) if pset.dim == 2 else np.linalg.norm
-    return min(float(dist(v)) for v in _closest_differences(pset.physical)) / 2.0
+    return _nearest_distance(pset.physical, dist) / 2.0
 
 
-def _closest_differences(points):
-    """Differences p_j - p_i (i < j) of lexicographically sorted ``points`` whose
-    nonzero Euclidean length is within a relative 1e-9 of the least one.
+def _nearest_distance(points, dist=np.linalg.norm) -> float:
+    """Least nonzero ``dist(p - q)`` over two of ``points``; inf if there is none.
 
-    The least nonzero distance is at most that from some point to its
-    lexicographic successor, which bounds the pair scan.  Callers take the
-    minimum of their own distance expression over the rows.
+    ``dist`` is a Euclidean length of one difference vector.  The least one
+    is at most the distance from some point to its lexicographic successor,
+    which bounds the pair scan; ``dist`` itself is evaluated only on the
+    differences whose vectorized norm is within a relative 1e-9 of the least.
     """
-    step = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    pts = points[np.lexsort(points.T[::-1])]
+    step = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     bound = step[step > 0].min(initial=np.inf)
     if bound == np.inf:
-        return np.empty((0, points.shape[1]))
-    ii, jj = _pairs_within(points, np.arange(len(points)), bound * (1 + 1e-9))
-    diffs = points[jj] - points[ii]
-    dist = np.linalg.norm(diffs, axis=1)
-    keep = (jj > ii) & (dist > 0)
-    return diffs[keep][dist[keep] <= dist[keep].min() * (1 + 1e-9)]
+        return np.inf
+    ii, jj = _pairs_within(pts, np.arange(len(pts)), bound * (1 + 1e-9))
+    diffs = pts[jj] - pts[ii]
+    norm = np.linalg.norm(diffs, axis=1)
+    keep = (jj > ii) & (norm > 0)
+    near = keep & (norm <= norm[keep].min() * (1 + 1e-9))
+    return min(float(dist(v)) for v in diffs[near])
 
 
 @dataclass

@@ -19,7 +19,7 @@ from .errors import (
     SingularBasis,
 )
 from .exactmath import QuadExact, as_quad, exact_det, rational_kernel_vector
-from .pointset import Box, IndexedPointSet, _closest_differences
+from .pointset import Box, IndexedPointSet, _nearest_distance
 
 DEFAULT_FLOAT_TOL = 1e-9
 ENUM_BUDGET = 10_000_000  # rows one lattice_points call may build
@@ -222,15 +222,9 @@ def _denseness_diagnostic(scheme: LatticeScheme, sample_sizes):
             vals = np.sort(stars[:, 0])
             gap = float(np.diff(vals).min()) if len(vals) > 1 else float("inf")
         else:
-            gap = _min_nn_distance(stars)
+            gap = _nearest_distance(stars)
         out.append((len(grid), gap))
     return out
-
-
-def _min_nn_distance(points: np.ndarray) -> float:
-    """Least nonzero distance between two of ``points``; inf if there is none."""
-    pts = points[np.lexsort(points.T[::-1])]
-    return min((float(np.linalg.norm(v)) for v in _closest_differences(pts)), default=np.inf)
 
 
 def lattice_points(matrix, lo, hi, budget: int = ENUM_BUDGET) -> np.ndarray:

@@ -13,10 +13,10 @@ from aperiodic.pointset import (
     IndexedPointSet,
     _agrees_on,
     _distinct_matches,
+    _nearest_distance,
     _pairs_within,
     _translate_hits,
 )
-from aperiodic.scheme import _min_nn_distance
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +100,6 @@ def test_eta_counts_scheme_oracle(name, seed, side, lo):
     deltas = (idx @ scheme.basis.T)[:, :dim]
     boxes = _random_boxes(rng, pset.region)
     want = _eta_oracle(pset, deltas, boxes)
-    assert np.array_equal(_eta_counts(pset, deltas, boxes, delta_index=idx), want)
     assert np.array_equal(_eta_counts(pset, deltas, boxes), want)
 
 
@@ -240,7 +239,7 @@ def test_nearest_neighbour_oracle(dim, cells, seed, coarse):
         assert ap.packing_radius(pset) == _min_distance_loop(pts, False) / 2.0
     # the star-gap scan skips coincident points
     doubled = np.vstack([pts, pts[:3]])
-    assert _min_nn_distance(doubled) == _min_distance_loop(doubled, True)
+    assert _nearest_distance(doubled) == _min_distance_loop(doubled, True)
 
 
 def test_translate_match_oracle():
