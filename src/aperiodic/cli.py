@@ -154,8 +154,7 @@ def _param(params, key):
 def _h_generate(cfg, out, warnings):
     scheme, window, pset, warns = _inputs(cfg)
     warnings.extend(warns)
-    io.pointset_to_csv(pset, out / "points.csv")
-    (out / "points.json").write_text(io.json_dumps_stable(io.pointset_to_json(pset)) + "\n")
+    io.pointset_to_csv(pset, out / "points.csv", out / "points.json")
     results = {"count": len(pset), "empirical_density": pset.density()}
     if scheme is not None:
         results["model_density"] = model_density(scheme, window)

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from pathlib import Path
 
 import jsonschema
-import numpy as np
 
 from .errors import ConfigError
 from .pointset import Box
@@ -212,7 +210,3 @@ def build_boxes(cfg: dict, dim: int):
     sizes = spec.get("sizes", list(DEFAULT_BOX_SIZES))
     anchored = spec.get("anchored", True)
     return default_boxes(sizes, dim, anchored)
-
-
-def write_schema(path):
-    Path(path).write_text(json.dumps(CONFIG_SCHEMA, indent=2, sort_keys=True) + "\n")

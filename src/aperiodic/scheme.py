@@ -78,9 +78,6 @@ class LatticeScheme:
     def star_exact(self, index):
         return self.lift_exact(index)[self.d:]
 
-    def physical_exact(self, index):
-        return self.lift_exact(index)[:self.d]
-
     def point(self, index) -> "LatticePoint":
         index = tuple(int(v) for v in index)
         row = self.lift([index])[0]

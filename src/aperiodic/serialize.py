@@ -1,4 +1,17 @@
-"""CSV/JSON persistence for point sets, tables and reports."""
+"""CSV/JSON persistence for point sets, tables and reports.
+
+Artifacts are written from number text formatted once per value.  Each
+numeric column becomes a list of strings -- ``repr`` of the Python int or
+float, the text that ``csv`` and ``json`` write for it -- and
+``_write_csv`` joins the string columns with ``,`` and ends every line with
+``\r\n``, the bytes ``csv.writer``'s default dialect gives for fields that
+need no quoting.  Given a ``json_path``, ``pointset_to_csv`` also builds
+the ``index``, ``physical`` and ``star`` rows of ``points.json`` from the
+same cell strings, with one row template per array, in the layout of
+``json.dumps(sort_keys=True, indent=2)``; non-finite values are spelled as
+``json`` spells them (``NaN``, ``Infinity``, ``-Infinity``), and ``count``
+and ``region`` go through ``json_dumps_stable``.
+"""
 
 from __future__ import annotations
 
@@ -11,38 +24,62 @@ import numpy as np
 from .errors import DuplicatePoint, ParseError
 from .pointset import Box, IndexedPointSet
 
-
-def pointset_to_csv(pset: IndexedPointSet, path):
-    """Columns: integer indices (n*), physical coords (x*), star coords (s*)."""
-    k = 0 if pset.index is None else pset.index.shape[1]
-    m = 0 if pset.star is None else pset.star.shape[1]
-    header = ([f"n{i}" for i in range(k)]
-              + [f"x{i}" for i in range(pset.dim)]
-              + [f"s{i}" for i in range(m)])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in range(len(pset)):
-            out = []
-            if k:
-                out.extend(int(v) for v in pset.index[row])
-            out.extend(repr(float(v)) for v in pset.physical[row])
-            if m:
-                out.extend(repr(float(v)) for v in pset.star[row])
-            writer.writerow(out)
+# json's spelling of the non-finite floats whose repr is nan, inf, -inf
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def pointset_to_json(pset: IndexedPointSet) -> dict:
-    out = {
-        "count": len(pset),
-        "region": pset.region.to_json(),
-        "physical": pset.physical.tolist(),
+def _columns(values: np.ndarray) -> list:
+    """The ``repr`` text of every entry of a 2D array, one list per column."""
+    return [list(map(repr, col)) for col in values.T.tolist()]
+
+
+def _write_csv(path, header, columns):
+    """Write a header and equal-length string columns as CSV lines."""
+    lines = [",".join(header), *map(",".join, zip(*columns)), ""]
+    Path(path).write_text("\r\n".join(lines), newline="")
+
+
+def _json_rows(values: np.ndarray, columns) -> str:
+    """A 2D array as ``json.dumps(indent=2)`` writes it one level deep."""
+    if not len(values):
+        return "[]"
+    if values.dtype.kind == "f" and not np.isfinite(values).all():
+        columns = [[_JSON_NONFINITE.get(c, c) for c in col] for col in columns]
+    if columns:
+        row = "    [\n      " + ",\n      ".join(["{}"] * len(columns)) + "\n    ]"
+        rows = map(row.format, *columns)
+    else:
+        rows = ["    []"] * len(values)
+    return "[\n" + ",\n".join(rows) + "\n  ]"
+
+
+def pointset_to_csv(pset: IndexedPointSet, path, json_path=None):
+    """Columns: integer indices (n*), physical coords (x*), star coords (s*).
+
+    Given ``json_path``, also writes the point set there as the JSON object
+    of ``count``, ``region``, ``physical`` and, when present, ``index`` and
+    ``star`` (omitted for a star of no columns), from the same cell strings.
+    """
+    index = [] if pset.index is None else _columns(pset.index)
+    physical = _columns(pset.physical)
+    star = [] if pset.star is None else _columns(pset.star)
+    header = ([f"n{i}" for i in range(len(index))]
+              + [f"x{i}" for i in range(len(physical))]
+              + [f"s{i}" for i in range(len(star))])
+    _write_csv(path, header, index + physical + star)
+    if json_path is None:
+        return
+    fields = {
+        "count": json_dumps_stable(len(pset)),
+        "region": json_dumps_stable(pset.region.to_json()).replace("\n", "\n  "),
+        "physical": _json_rows(pset.physical, physical),
     }
     if pset.index is not None:
-        out["index"] = pset.index.tolist()
-    if pset.star is not None and pset.star.shape[1]:
-        out["star"] = pset.star.tolist()
-    return out
+        fields["index"] = _json_rows(pset.index, index)
+    if star:
+        fields["star"] = _json_rows(pset.star, star)
+    body = ",\n".join(f'  "{key}": {fields[key]}' for key in sorted(fields))
+    Path(json_path).write_text("{\n" + body + "\n}\n")
 
 
 def ingest_csv(path, region: Box | None = None):
@@ -114,30 +151,26 @@ def ingest_json(path, region: Box | None = None):
 
 
 def peak_table_to_csv(table, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        dim = len(table.entries[0].k) if table.entries else 1
-        writer.writerow([f"k{i}" for i in range(dim)] + ["re", "im", "intensity", "is_control"])
-        for entry in table.entries + table.controls:
-            amp = entry.amplitudes[-1]
-            writer.writerow([repr(float(v)) for v in entry.k]
-                            + [repr(float(amp.real)), repr(float(amp.imag)),
-                               repr(entry.intensity), int(entry.is_control)])
+    rows = table.entries + table.controls
+    dim = len(table.entries[0].k) if table.entries else 1
+    values = [[*map(float, e.k), float(e.amplitudes[-1].real),
+               float(e.amplitudes[-1].imag), e.intensity] for e in rows]
+    columns = [list(map(repr, col)) for col in zip(*values)]
+    columns.append([str(int(e.is_control)) for e in rows])
+    _write_csv(path, [f"k{i}" for i in range(dim)] + ["re", "im", "intensity", "is_control"],
+               columns)
 
 
 def almost_periods_to_csv(ap, path):
     rows = ap.to_rows()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        dim = len(rows[0]["delta"]) if rows else 1
-        writer.writerow([f"delta{i}" for i in range(dim)] + ["d", "gap_to_next"])
-        for i, row in enumerate(rows):
-            if dim == 1 and i + 1 < len(rows):
-                gap = rows[i + 1]["delta"][0] - row["delta"][0]
-            else:
-                gap = ""
-            writer.writerow([repr(v) for v in row["delta"]]
-                            + [repr(row["d"]), repr(gap) if gap != "" else ""])
+    deltas = [row["delta"] for row in rows]
+    dim = len(deltas[0]) if rows else 1
+    # the gap to the next member, in dimension 1 only; the last row has none
+    gaps = [repr(b[0] - a[0]) for a, b in zip(deltas, deltas[1:])] if dim == 1 else []
+    columns = [list(map(repr, col)) for col in zip(*deltas)]
+    columns.append([repr(row["d"]) for row in rows])
+    columns.append(gaps + [""] * (len(rows) - len(gaps)))
+    _write_csv(path, [f"delta{i}" for i in range(dim)] + ["d", "gap_to_next"], columns)
 
 
 def json_dumps_stable(obj) -> str:
