@@ -281,15 +281,17 @@ def _h_torus(cfg, out, warnings):
     if sub == "beta":
         tp = tr.beta_of_cut(scheme, _param(params, "x"), params.get("h", []))
         return {"frac": tp.frac.tolist()}
+    band = params.get("band")
+    if band is not None and (isinstance(band, bool) or not isinstance(band, (int, float))
+                             or not 0 <= band < float("inf")):
+        raise ConfigError(f"params.band must be a finite number >= 0, got {band!r}")
     if sub == "singularity":
         tp = tr.torus_point_from_frac(scheme, _param(params, "frac"))
-        hits = tr.singularity_test(scheme, window, tp, params.get("radius", 1000.0),
-                                   params.get("band"))
+        hits = tr.singularity_test(scheme, window, tp, params.get("radius", 1000.0), band)
         return {"singular": bool(hits), "hits": [list(h.index) for h in hits]}
     if sub == "separation":
         rep = sp.separation_fraction(scheme, window, params.get("samples", 100),
-                                     cfg["seed"], params.get("radius", 1000.0),
-                                     params.get("band"))
+                                     cfg["seed"], params.get("radius", 1000.0), band)
         return {"fraction": rep.fraction, "n_singular": rep.n_singular}
     raise ConfigError(f"unknown torus op {sub!r}")
 

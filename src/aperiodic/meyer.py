@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChainFailure, NotInL, NotSchemeBacked, RegionTooSmall
-from .pointset import MATCH_TOL, Box, IndexedPointSet, difference_set
+from .pointset import MATCH_TOL, Box, IndexedPointSet, _grid_covering_radius, difference_set
 from .scheme import LatticeScheme
 
 
@@ -157,13 +157,7 @@ def covering_half_width(pset: IndexedPointSet) -> float:
     if pset.dim == 1:
         gaps = np.diff(pset.positions_1d())
         return float(gaps.max()) / 2.0
-    probes = np.stack(np.meshgrid(
-        *[np.linspace(pset.region.lo[i], pset.region.hi[i], 41)
-          for i in range(pset.dim)], indexing="ij"), axis=-1).reshape(-1, pset.dim)
-    best = np.full(len(probes), np.inf)
-    for p in pset.physical:
-        best = np.minimum(best, np.max(np.abs(probes - p), axis=1))
-    return float(best.max())
+    return _grid_covering_radius(pset.physical, pset.region, 41, np.inf)
 
 
 def stepping_certificate(pset: IndexedPointSet, scheme: LatticeScheme,

@@ -394,12 +394,23 @@ def _coverage_gap(matches: np.ndarray, valid: Box) -> float:
         vals = np.sort(matches[:, 0])
         vals = np.concatenate([[valid.lo[0]], vals, [valid.hi[0]]])
         return float(np.diff(vals).max())
+    return _grid_covering_radius(matches, valid, 33)
+
+
+def _grid_covering_radius(points, box: Box, per_axis: int, norm_ord=None) -> float:
+    """Covering radius of ``points`` over the ``per_axis``-per-axis probe grid on ``box``.
+
+    Distances are ``np.linalg.norm(..., ord=norm_ord)``, over chunks of points.
+    """
     probes = np.stack(np.meshgrid(
-        *[np.linspace(valid.lo[i], valid.hi[i], 33) for i in range(valid.dim)],
-        indexing="ij"), axis=-1).reshape(-1, valid.dim)
+        *[np.linspace(box.lo[i], box.hi[i], per_axis) for i in range(box.dim)],
+        indexing="ij"), axis=-1).reshape(-1, box.dim)
     best = np.full(len(probes), np.inf)
-    for t in matches:
-        best = np.minimum(best, np.linalg.norm(probes - t, axis=1))
+    chunk = max(1, (1 << 20) // len(probes))
+    for a in range(0, len(points), chunk):
+        dist = np.linalg.norm(probes[:, None, :] - points[None, a:a + chunk, :],
+                              ord=norm_ord, axis=2)
+        np.minimum(best, dist.min(axis=1), out=best)
     return float(best.max())
 
 

@@ -312,33 +312,15 @@ def enumerate_cut(scheme: LatticeScheme, window, region: Box,
 
 
 def _window_accept(scheme, window, index, star, pre_mask) -> np.ndarray:
-    """Vectorized window membership with exact resolution near the boundary."""
-    accept = np.zeros(len(star), dtype=bool)
-    near = np.zeros(len(star), dtype=bool)
-    if window.dim == 1:
-        s = star[:, 0]
-        for c in window.components:
-            accept |= (s > c.lo + BOUNDARY_BAND) & (s < c.hi - BOUNDARY_BAND)
-            near |= (np.abs(s - c.lo) <= BOUNDARY_BAND) | (np.abs(s - c.hi) <= BOUNDARY_BAND)
-    else:
-        verts = window.vertices
-        n = len(verts)
-        min_signed = np.full(len(star), np.inf)
-        for i in range(n):
-            a, b = verts[i], verts[(i + 1) % n]
-            e = b - a
-            elen = np.hypot(*e)
-            signed = (e[0] * (star[:, 1] - a[1]) - e[1] * (star[:, 0] - a[0])) / elen
-            min_signed = np.minimum(min_signed, signed)
-        accept = min_signed > BOUNDARY_BAND
-        near = np.abs(min_signed) <= BOUNDARY_BAND
-    undecided = np.flatnonzero(near & pre_mask & ~accept)
-    for i in undecided:
-        if scheme.is_exact:
-            h = scheme.star_exact(index[i])
-            accept[i] = window.accepts(h[0] if window.dim == 1 else h)
-        else:
-            accept[i] = window.accepts(star[i, 0] if window.dim == 1 else star[i])
+    """Window membership by the window's float rule, resolved exactly near the rim.
+
+    Stars within BOUNDARY_BAND of the rim go to ``window.accepts``: with exact
+    stars in quadratic mode, with the window tolerance otherwise.
+    """
+    accept, near = window.classify_array(star, BOUNDARY_BAND)
+    for i in np.flatnonzero(near & pre_mask):
+        h = scheme.star_exact(index[i]) if scheme.is_exact else star[i]
+        accept[i] = window.accepts(h[0] if window.dim == 1 else h)
     return accept
 
 

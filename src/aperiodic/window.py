@@ -5,8 +5,11 @@ and convex polygons (dimension 2).  Every window is the closure of its
 interior and carries an explicit boundary policy: per-endpoint closedness
 flags for intervals, a single ``boundary_included`` flag for polygons.
 
-Endpoints may carry exact quadratic-field values; membership then becomes
-decidable instead of tolerance-based.
+Each class has one float membership rule, ``classify_array``: interior,
+boundary (within a tolerance of the rim) or exterior, for an (n, m) array of
+stars.  Cut enumeration, the singular-fibre scan and the scalar
+``classify``/``accepts``/``endpoint_hits`` all use it.  Endpoints may carry
+exact quadratic-field values; the scalar methods then decide the rim exactly.
 """
 
 from __future__ import annotations
@@ -28,6 +31,13 @@ class Region(enum.Enum):
     INTERIOR = "interior"
     BOUNDARY = "boundary"
     EXTERIOR = "exterior"
+
+
+def _region_of(masks):
+    """The Region of the first star of classify_array's (interior, boundary) masks."""
+    interior, boundary = masks
+    return Region.INTERIOR if interior[0] else (
+        Region.BOUNDARY if boundary[0] else Region.EXTERIOR)
 
 
 def _exact_or_float(value):
@@ -88,6 +98,32 @@ class IntervalUnion:
                    for c in self.components)
 
     # -- membership ------------------------------------------------------------
+    def _float_rule(self, stars, tol):
+        """Per component: masks of the stars near lo, near hi and strictly inside."""
+        x = np.asarray(stars, dtype=np.float64).reshape(-1)
+        t = self.tol if tol is None else tol
+        return [(np.abs(x - c.lo) <= t, np.abs(x - c.hi) <= t, (c.lo < x) & (x < c.hi))
+                for c in self.components]
+
+    def classify_array(self, stars, tol=None):
+        """Masks (interior, boundary) of an (n, 1) star array; a star in neither is exterior.
+
+        The first component that is near or contains a star decides it.
+        """
+        interior = boundary = False
+        for near_lo, near_hi, inside in reversed(self._float_rule(stars, tol)):
+            near = near_lo | near_hi
+            free = ~(near | inside)
+            boundary = near | (boundary & free)
+            interior = (inside & ~near) | (interior & free)
+        return interior, boundary
+
+    def boundary_hits(self, stars, tol=None):
+        """(row, component, 'lo'|'hi') per star within tol of an endpoint, in that order."""
+        rule = self._float_rule(stars, tol)
+        rows, cols = np.nonzero(np.stack([m for lo, hi, _ in rule for m in (lo, hi)], axis=1))
+        return [(r, k // 2, ("lo", "hi")[k % 2]) for r, k in zip(rows.tolist(), cols.tolist())]
+
     def classify(self, h, tol=None) -> Region:
         """Interior / boundary / exterior, ignoring closedness flags."""
         if isinstance(h, QuadExact) and self.is_exact():
@@ -97,14 +133,7 @@ class IntervalUnion:
                 if c.lo_exact < h < c.hi_exact:
                     return Region.INTERIOR
             return Region.EXTERIOR
-        t = self.tol if tol is None else tol
-        x = float(h)
-        for c in self.components:
-            if abs(x - c.lo) <= t or abs(x - c.hi) <= t:
-                return Region.BOUNDARY
-            if c.lo < x < c.hi:
-                return Region.INTERIOR
-        return Region.EXTERIOR
+        return _region_of(self.classify_array(float(h), tol))
 
     def accepts(self, h, tol=None) -> bool:
         """Membership honoring the per-endpoint closedness flags."""
@@ -117,43 +146,29 @@ class IntervalUnion:
                 if h == c.hi_exact and c.hi_closed:
                     return True
             return False
-        t = self.tol if tol is None else tol
-        x = float(h)
-        for c in self.components:
-            if abs(x - c.lo) <= t:
-                return c.lo_closed
-            if abs(x - c.hi) <= t:
-                return c.hi_closed
-            if c.lo < x < c.hi:
-                return True
-        return False
+        interior, boundary = self.classify_array(float(h), tol)
+        if not boundary[0]:
+            return bool(interior[0])
+        _, i, side = self.boundary_hits(float(h), tol)[0]
+        return getattr(self.components[i], side + "_closed")
 
     def endpoint_hits(self, h, tol=None):
         """All (component index, 'lo'|'hi') endpoints equal to h."""
-        hits = []
         if isinstance(h, QuadExact) and self.is_exact():
+            hits = []
             for i, c in enumerate(self.components):
                 if h == c.lo_exact:
                     hits.append((i, "lo"))
                 if h == c.hi_exact:
                     hits.append((i, "hi"))
             return hits
-        t = self.tol if tol is None else tol
-        x = float(h)
-        for i, c in enumerate(self.components):
-            if abs(x - c.lo) <= t:
-                hits.append((i, "lo"))
-            if abs(x - c.hi) <= t:
-                hits.append((i, "hi"))
-        return hits
+        return [(c, side) for _, c, side in self.boundary_hits(float(h), tol)]
 
     def boundary_distance(self, h) -> float:
         """Signed distance to the boundary; negative strictly inside."""
         x = float(h)
-        endpoints = [e for c in self.components for e in (c.lo, c.hi)]
-        d_edge = min(abs(x - e) for e in endpoints)
-        inside = any(c.lo <= x <= c.hi for c in self.components)
-        return -d_edge if inside else d_edge
+        d_edge = min(abs(x - e) for c in self.components for e in (c.lo, c.hi))
+        return d_edge if _region_of(self.classify_array(x, 0.0)) is Region.EXTERIOR else -d_edge
 
     # -- set operations --------------------------------------------------------
     def translate(self, t):
@@ -265,6 +280,11 @@ class ConvexPolygon:
             if cross < -tol:
                 raise UnsupportedShape("non-convex polygon windows are not supported")
         self.vertices = verts
+        # counter-clockwise edge vectors, their lengths and outward unit normals
+        self.edges = np.roll(verts, -1, axis=0) - verts
+        self.edge_lengths = np.hypot(self.edges[:, 0], self.edges[:, 1])
+        self.normals = (np.stack([self.edges[:, 1], -self.edges[:, 0]], axis=1)
+                        / self.edge_lengths[:, None])
         self.exact_vertices = tuple(exact_vertices) if exact_vertices is not None else None
         self.boundary_included = bool(boundary_included)
         self.tol = float(tol)
@@ -278,27 +298,29 @@ class ConvexPolygon:
     def is_exact(self) -> bool:
         return self.exact_vertices is not None
 
+    def classify_array(self, stars, tol=None):
+        """Masks (interior, boundary) of an (n, 2) star array; a star in neither is exterior.
+
+        They compare the least signed distance to the edge lines with tol.
+        """
+        stars = np.asarray(stars, dtype=np.float64).reshape(-1, 2)
+        t = self.tol if tol is None else tol
+        margin = np.full(len(stars), np.inf)
+        for (ax, ay), (ex, ey), elen in zip(self.vertices, self.edges, self.edge_lengths):
+            np.minimum(margin, (ex * (stars[:, 1] - ay) - ey * (stars[:, 0] - ax)) / elen,
+                       out=margin)
+        return margin > t, np.abs(margin) <= t
+
+    def boundary_hits(self, stars, tol=None):
+        """(row, 0, 'edge') for every star within tol of the rim, by row."""
+        _, boundary = self.classify_array(stars, tol)
+        return [(r, 0, "edge") for r in np.flatnonzero(boundary).tolist()]
+
     def classify(self, h, tol=None) -> Region:
         if (self.is_exact() and len(h) == 2
                 and all(isinstance(x, QuadExact) for x in h)):
             return self._classify_exact(h)
-        t = self.tol if tol is None else tol
-        p = np.asarray([float(x) for x in h], dtype=np.float64)
-        verts = self.vertices
-        n = len(verts)
-        min_signed = math.inf
-        for i in range(n):
-            a = verts[i]
-            b = verts[(i + 1) % n]
-            e = b - a
-            elen = math.hypot(e[0], e[1])
-            signed = (e[0] * (p[1] - a[1]) - e[1] * (p[0] - a[0])) / elen
-            min_signed = min(min_signed, signed)
-        if min_signed > t:
-            return Region.INTERIOR
-        if min_signed < -t:
-            return Region.EXTERIOR
-        return Region.BOUNDARY
+        return _region_of(self.classify_array([float(x) for x in h], tol))
 
     def _classify_exact(self, h):
         hx, hy = h
@@ -325,18 +347,9 @@ class ConvexPolygon:
 
     def boundary_distance(self, h) -> float:
         p = np.asarray([float(x) for x in h], dtype=np.float64)
-        verts = self.vertices
-        n = len(verts)
-        d_edge = math.inf
-        inside = True
-        for i in range(n):
-            a = verts[i]
-            b = verts[(i + 1) % n]
-            d_edge = min(d_edge, _point_segment_distance(p, a, b))
-            e = b - a
-            if e[0] * (p[1] - a[1]) - e[1] * (p[0] - a[0]) < 0:
-                inside = False
-        return -d_edge if inside else d_edge
+        d_edge = min(_point_segment_distance(p, a, b) for a, b
+                     in zip(self.vertices, np.roll(self.vertices, -1, axis=0)))
+        return d_edge if _region_of(self.classify_array(p, 0.0)) is Region.EXTERIOR else -d_edge
 
     def translate(self, t):
         t = np.asarray(t, dtype=np.float64)

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aperiodic as ap
 from aperiodic import cli
 from aperiodic.config import CONFIG_SCHEMA, load_config, validate_config
 from aperiodic.errors import ConfigError, DuplicatePoint, ParseError
 from aperiodic.serialize import ingest_csv
+from aperiodic.window import Interval, IntervalUnion
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -192,6 +194,28 @@ class TestRuns:
         report, ok = cli.execute(cfg2, out2)
         assert ok and report["results"]["singular"] is False
 
+    def test_singularity_band_wider_than_half_a_component_gap(self, tmp_path):
+        # m = 1, d = 2 takes the generic scan; a band of 0.05 pads the two
+        # components across their 0.02 gap, so the padded pieces must merge
+        basis = [[1, 0, 1.618], [0, 1, 0.7071], [1, 1.4142, -0.618]]
+        comps = [{"lo": 0, "hi": 0.5}, {"lo": 0.52, "hi": 1}]
+        frac, radius, band = [0.1, 0.2, 0.3], 5.0, 0.05
+        cfg = {"operation": "torus", "seed": 1,
+               "scheme": {"d": 2, "m": 1, "basis": basis},
+               "window": {"type": "intervals", "components": comps},
+               "params": {"op": "singularity", "frac": frac, "radius": radius, "band": band}}
+        out = tmp_path / "o"
+        assert cli.main(["torus", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        hits = json.loads((out / "report.json").read_text())["results"]["hits"]
+        # the old per-star rule, on candidates from one interval over the padded hull
+        scheme = ap.make_scheme(2, 1, basis)
+        h = ap.torus_point_from_frac(scheme, frac).internal_offset()[0]
+        cand = ap.enumerate_cut(scheme, IntervalUnion([Interval(-band - h, 1 + band - h)]),
+                                ap.Box.centered(radius, 2))
+        want = [[int(v) for v in n] for n, s in zip(cand.index, cand.star[:, 0])
+                for c in comps for e in (c["lo"], c["hi"]) if abs(s - (e - h)) <= band]
+        assert want and hits == want
+
     def test_operations_that_read_no_window_run_without_one(self, tmp_path):
         for operation, params in [("analyze", {"op": "dual_candidates", "k_max": 1.0}),
                                   ("analyze", {"op": "validate"}),
@@ -343,6 +367,13 @@ class TestConfigErrors:
 
     def test_model_density_without_window(self, tmp_path, capsys):
         self.windowless(tmp_path, capsys, "analyze", {"op": "model_density"})
+
+    @pytest.mark.parametrize("scheme,band", [("fibonacci", "x"), ("ammann_beenker", -0.5)])
+    def test_torus_band_not_a_finite_nonnegative_number(self, tmp_path, capsys, scheme, band):
+        cfg = {"operation": "torus", "scheme": {"name": scheme}, "seed": 1,
+               "params": {"op": "singularity", "frac": [0.1] * (2 if scheme == "fibonacci" else 4),
+                          "radius": 10.0, "band": band}}
+        assert "params.band" in self.run(tmp_path, capsys, cfg)
 
     def test_points_region_rejected(self, tmp_path, capsys):
         path = tmp_path / "pts.csv"

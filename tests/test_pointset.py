@@ -285,6 +285,61 @@ class TestRepetition:
         assert len(rep.matches) < len(good.matches)
 
 
+def _old_covering_half_width(pset):
+    """meyer.covering_half_width's loop for dim >= 2 before the shared helper."""
+    probes = np.stack(np.meshgrid(
+        *[np.linspace(pset.region.lo[i], pset.region.hi[i], 41)
+          for i in range(pset.dim)], indexing="ij"), axis=-1).reshape(-1, pset.dim)
+    best = np.full(len(probes), np.inf)
+    for p in pset.physical:
+        best = np.minimum(best, np.max(np.abs(probes - p), axis=1))
+    return float(best.max())
+
+
+def _old_coverage_gap(matches, valid):
+    """pointset._coverage_gap's loop for dim >= 2 before the shared helper."""
+    probes = np.stack(np.meshgrid(
+        *[np.linspace(valid.lo[i], valid.hi[i], 33) for i in range(valid.dim)],
+        indexing="ij"), axis=-1).reshape(-1, valid.dim)
+    best = np.full(len(probes), np.inf)
+    for t in matches:
+        best = np.minimum(best, np.linalg.norm(probes - t, axis=1))
+    return float(best.max())
+
+
+class TestGridCoveringRadius:
+    @pytest.mark.parametrize("dim,n", [(2, 1), (2, 700), (2, 3000), (3, 40)])
+    def test_matches_old_loops_bitwise(self, dim, n):
+        from aperiodic.meyer import covering_half_width
+        from aperiodic.pointset import _coverage_gap
+        rng = np.random.default_rng(n)
+        box = Box.make(rng.uniform(-9, -1, dim), rng.uniform(1, 9, dim))
+        pts = rng.uniform(box.lo - 1, box.hi + 1, (n, dim))
+        pset = IndexedPointSet(pts, box)
+        assert covering_half_width(pset) == _old_covering_half_width(pset)
+        assert _coverage_gap(pts, box) == _old_coverage_gap(pts, box)
+
+    def test_points_on_every_probe_cover_exactly(self):
+        # each probe is covered only by its own copy, so a point skipped in any
+        # chunk leaves a probe uncovered
+        from aperiodic.pointset import _grid_covering_radius
+        box = Box.make([-3.0, -2.0], [5.0, 4.0])
+        probes = np.stack(np.meshgrid(np.linspace(-3.0, 5.0, 41), np.linspace(-2.0, 4.0, 41),
+                                      indexing="ij"), axis=-1).reshape(-1, 2)
+        pts = probes[np.random.default_rng(0).permutation(len(probes))]
+        assert _grid_covering_radius(pts, box, 41, np.inf) == 0.0
+        assert _grid_covering_radius(pts, box, 41) == 0.0
+
+    def test_ammann_beenker_patch(self, ab):
+        from aperiodic.meyer import covering_half_width
+        from aperiodic.pointset import _coverage_gap
+        scheme, window = ab
+        patch = ap.enumerate_cut(scheme, window, Box.make([-12, -9], [10, 11]))
+        assert covering_half_width(patch) == _old_covering_half_width(patch)
+        assert _coverage_gap(patch.physical, patch.region) == _old_coverage_gap(
+            patch.physical, patch.region)
+
+
 # per-coordinate query offsets: exact, inside and just outside +-MATCH_TOL,
 # well outside it, and off the point grid
 OFFSETS = [0.0, 0.5, -0.5, 0.99, -0.99, 1.01, -1.01, 3.0, -3.0]

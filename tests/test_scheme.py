@@ -232,6 +232,21 @@ def lattice_boxes(draw):
     return matrix, lo, lo + width
 
 
+class TestWindowAccept:
+    def test_star_just_past_the_band_is_accepted(self):
+        # x = lo + BOUNDARY_BAND rounds to a float with x - lo > BOUNDARY_BAND,
+        # so x is neither near the rim nor, by x > lo + BOUNDARY_BAND, inside it;
+        # the window's own rule calls it interior and enumeration must keep it
+        lo = 0.20791468550554815
+        x = lo + sc.BOUNDARY_BAND
+        assert x - lo > sc.BOUNDARY_BAND
+        window = IntervalUnion([Interval(lo, lo + 0.5)])
+        scheme = ap.make_scheme(1, 1, [[1.0, 1.618], [1.0, -0.618]])
+        accept = sc._window_accept(scheme, window, np.zeros((1, 2), dtype=np.int64),
+                                   np.array([[x]]), np.array([True]))
+        assert window.classify(x) is ap.Region.INTERIOR and accept.tolist() == [True]
+
+
 class TestLatticePoints:
     @settings(max_examples=150, deadline=None)
     @given(lattice_boxes())

@@ -139,6 +139,63 @@ class TestSingularity:
         assert strip == generic
 
 
+def _old_polygon_on_rim(poly, p, t):
+    """The scalar float loop of ConvexPolygon.classify before the array rule."""
+    verts = poly.vertices
+    min_signed = math.inf
+    for i in range(len(verts)):
+        a, b = verts[i], verts[(i + 1) % len(verts)]
+        e = b - a
+        signed = (e[0] * (p[1] - a[1]) - e[1] * (p[0] - a[0])) / math.hypot(e[0], e[1])
+        min_signed = min(min_signed, signed)
+    return -t <= min_signed <= t
+
+
+def _old_generic_hits(scheme, window, h, radius, band):
+    """The per-star loop that _generic_hits replaced, over the same candidates."""
+    from aperiodic.torus import _inflate_window
+    shifted = window.translate(-float(h[0]) if window.dim == 1 else -np.asarray(h))
+    patch = ap.enumerate_cut(scheme, _inflate_window(shifted, band),
+                             ap.Box.centered(radius, scheme.d))
+    hits = []
+    for i in range(len(patch)):
+        star = patch.star[i]
+        if window.dim == 1:
+            for ci, c in enumerate(shifted.components):
+                if abs(star[0] - c.lo) <= band:
+                    hits.append((tuple(patch.index[i]), ci, "lo", star))
+                if abs(star[0] - c.hi) <= band:
+                    hits.append((tuple(patch.index[i]), ci, "hi", star))
+        elif _old_polygon_on_rim(shifted, star, band):
+            hits.append((tuple(patch.index[i]), 0, "edge", star))
+    return hits
+
+
+TWO_PIECE_2D = ([[1, 0, 1.618], [0, 1, 0.7071], [1, 1.4142, -0.618]],
+                [Interval(0.0, 0.5, False, True), Interval(0.52, 1.0, True, False)])
+
+
+class TestGenericHits:
+    @pytest.mark.parametrize("case", ["ammann_beenker", "fibonacci", "silver", "two_piece_2d"])
+    @pytest.mark.parametrize("band", [1e-9, 1e-6, 1e-3, 0.05, 0.1])
+    def test_matches_per_star_loop(self, case, band):
+        from aperiodic.torus import _generic_hits
+        if case == "two_piece_2d":
+            basis, comps = TWO_PIECE_2D
+            scheme, window, radius = ap.make_scheme(2, 1, basis), IntervalUnion(comps), 8.0
+        else:
+            scheme, window = ap.named_scheme(case)
+            radius = 10.0 if case == "ammann_beenker" else 300.0
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            h = ap.torus_point_from_frac(scheme, rng.uniform(0, 1, scheme.k)).internal_offset()
+            got = _generic_hits(scheme, window, h, radius, band)
+            want = _old_generic_hits(scheme, window, h, radius, band)
+            assert [(x.index, x.component, x.side) for x in got] == [w[:3] for w in want]
+            assert all(np.array_equal(x.star, w[3]) for x, w in zip(got, want))
+            assert all(type(v) is int for x in got for v in x.index)
+
+
 class TestFiber:
     def test_nonsingular_singleton(self, fib):
         scheme, window = fib
@@ -299,6 +356,31 @@ class TestHausdorff:
             approx = max(max(dist(x, b) for x in in_a),
                          max(dist(x, a) for x in in_b))
             assert abs(exact - approx) < 2e-3
+
+
+    def test_matches_old_endpoint_loop(self, rng):
+        def old_directed(a, b):
+            def dist_to_b(x):
+                best = np.inf
+                for c in b.components:
+                    if c.lo <= x <= c.hi:
+                        return 0.0
+                    best = min(best, abs(x - c.lo), abs(x - c.hi))
+                return best
+
+            candidates = [e for c in a.components for e in (c.lo, c.hi)]
+            for u, v in zip(b.components, b.components[1:]):
+                mid = 0.5 * (u.hi + v.lo)
+                if any(c.lo <= mid <= c.hi for c in a.components):
+                    candidates.append(mid)
+            return max(dist_to_b(x) for x in candidates)
+
+        for _ in range(200):
+            pts = np.sort(rng.integers(0, 12, 8)) / 4.0 + np.arange(8) * 1e-3 * rng.integers(0, 2)
+            a = IntervalUnion([Interval(pts[0], pts[1] + 0.1), Interval(pts[2] + 0.2, pts[3] + 0.3)])
+            b = IntervalUnion([Interval(pts[4], pts[5] + 0.1), Interval(pts[6] + 0.2, pts[7] + 0.3)])
+            want = max(old_directed(a, b), old_directed(b, a))
+            assert ap.interval_union_hausdorff(a, b) == want
 
 
 class TestContinuity:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -240,3 +242,213 @@ class TestValidation:
         hi = QuadExact(1, 0, 5)
         iv = make_interval(lo, hi, False, True)
         assert iv.lo_exact is lo and iv.hi == 1.0
+
+
+# -- the float rule against the per-point loops it replaced ---------------------
+# Copies of the scalar float loops of IntervalUnion.classify/accepts/
+# endpoint_hits/boundary_distance and ConvexPolygon.classify/boundary_distance,
+# and of the vectorized polygon loop of scheme._window_accept, as they were
+# before the array rule.
+
+def old_interval_classify(w, x, t):
+    for c in w.components:
+        if abs(x - c.lo) <= t or abs(x - c.hi) <= t:
+            return Region.BOUNDARY
+        if c.lo < x < c.hi:
+            return Region.INTERIOR
+    return Region.EXTERIOR
+
+
+def old_interval_accepts(w, x, t):
+    for c in w.components:
+        if abs(x - c.lo) <= t:
+            return c.lo_closed
+        if abs(x - c.hi) <= t:
+            return c.hi_closed
+        if c.lo < x < c.hi:
+            return True
+    return False
+
+
+def old_endpoint_hits(w, x, t):
+    hits = []
+    for i, c in enumerate(w.components):
+        if abs(x - c.lo) <= t:
+            hits.append((i, "lo"))
+        if abs(x - c.hi) <= t:
+            hits.append((i, "hi"))
+    return hits
+
+
+def old_interval_boundary_distance(w, x):
+    endpoints = [e for c in w.components for e in (c.lo, c.hi)]
+    d_edge = min(abs(x - e) for e in endpoints)
+    inside = any(c.lo <= x <= c.hi for c in w.components)
+    return -d_edge if inside else d_edge
+
+
+def old_polygon_classify(poly, p, t):
+    verts = poly.vertices
+    n = len(verts)
+    min_signed = math.inf
+    for i in range(n):
+        a = verts[i]
+        b = verts[(i + 1) % n]
+        e = b - a
+        elen = math.hypot(e[0], e[1])
+        signed = (e[0] * (p[1] - a[1]) - e[1] * (p[0] - a[0])) / elen
+        min_signed = min(min_signed, signed)
+    if min_signed > t:
+        return Region.INTERIOR
+    if min_signed < -t:
+        return Region.EXTERIOR
+    return Region.BOUNDARY
+
+
+def old_polygon_margin(poly, star):
+    verts = poly.vertices
+    n = len(verts)
+    min_signed = np.full(len(star), np.inf)
+    for i in range(n):
+        a, b = verts[i], verts[(i + 1) % n]
+        e = b - a
+        elen = np.hypot(*e)
+        signed = (e[0] * (star[:, 1] - a[1]) - e[1] * (star[:, 0] - a[0])) / elen
+        min_signed = np.minimum(min_signed, signed)
+    return min_signed
+
+
+def old_polygon_boundary_distance(poly, p):
+    from aperiodic.window import _point_segment_distance
+    verts = poly.vertices
+    n = len(verts)
+    d_edge = math.inf
+    inside = True
+    for i in range(n):
+        a = verts[i]
+        b = verts[(i + 1) % n]
+        d_edge = min(d_edge, _point_segment_distance(p, a, b))
+        e = b - a
+        if e[0] * (p[1] - a[1]) - e[1] * (p[0] - a[0]) < 0:
+            inside = False
+    return -d_edge if inside else d_edge
+
+
+CODE = {Region.INTERIOR: 1, Region.BOUNDARY: 0, Region.EXTERIOR: -1}
+TOLS = [0.0, 1e-9, 1e-6, 1e-3, 0.05, 0.3]
+
+
+@st.composite
+def interval_unions(draw):
+    """1-4 components, some touching (gap 0), with random closedness flags."""
+    lo = draw(st.floats(-3, 3))
+    comps = []
+    for _ in range(draw(st.integers(1, 4))):
+        length = draw(st.floats(1e-3, 2))
+        flags = draw(st.tuples(st.booleans(), st.booleans()))
+        comps.append(Interval(lo, lo + length, *flags))
+        lo = lo + length + draw(st.sampled_from([0.0, 1e-9, 0.01]) | st.floats(0, 1))
+    return IntervalUnion(comps)
+
+
+def rim_stars(edges, t, draw):
+    """Points at, exactly tol off, and one ulp around tol off the given edges."""
+    out = []
+    for e in edges:
+        for x in (e, e - t, e + t):
+            out += [x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)]
+    return out + draw(st.lists(st.floats(-5, 10), max_size=10))
+
+
+class TestArrayRuleIntervals:
+    @given(interval_unions(), st.sampled_from(TOLS), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scalar_loops(self, w, t, data):
+        edges = [e for c in w.components for e in (c.lo, c.hi)]
+        stars = rim_stars(edges, t, data.draw)
+        interior, boundary = w.classify_array(np.array(stars)[:, None], t)
+        assert not (interior & boundary).any()
+        codes = np.where(boundary, 0, np.where(interior, 1, -1))
+        expected_hits = []
+        for r, x in enumerate(stars):
+            region = old_interval_classify(w, x, t)
+            assert codes[r] == CODE[region]
+            assert w.classify(x, t) is region
+            assert w.accepts(x, t) == old_interval_accepts(w, x, t)
+            assert w.endpoint_hits(x, t) == old_endpoint_hits(w, x, t)
+            assert w.boundary_distance(x) == old_interval_boundary_distance(w, x)
+            expected_hits += [(r, c, side) for c, side in old_endpoint_hits(w, x, t)]
+        assert w.boundary_hits(np.array(stars)[:, None], t) == expected_hits
+
+    def test_overlap_within_tol_first_component_decides(self):
+        # components may overlap by less than the construction tolerance; the
+        # first component that claims a star decides it, as the loops did
+        w = IntervalUnion([Interval(0.0, 1.0, True, False),
+                           Interval(1.0 - 5e-10, 2.0, False, True)])
+        for x in (1.0 - 5e-10, 1.0 - 2e-10, 1.0):
+            assert w.accepts(x, 1e-11) == old_interval_accepts(w, x, 1e-11)
+            assert w.classify(x, 1e-11) is old_interval_classify(w, x, 1e-11)
+
+
+@st.composite
+def convex_polygons(draw):
+    """3-8 points on a circle, mapped by a random orientation-preserving affine map."""
+    n = draw(st.integers(3, 8))
+    angles = sorted(draw(st.lists(st.floats(0, 2 * np.pi, exclude_max=True),
+                                  min_size=n, max_size=n, unique=True)))
+    gaps = np.diff(angles + [angles[0] + 2 * np.pi])
+    if gaps.min() < 0.05 or gaps.max() > np.pi - 0.05:
+        angles = list(np.linspace(0, 2 * np.pi, n, endpoint=False) + angles[0])
+    circle = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    sx, sy = draw(st.floats(0.2, 3)), draw(st.floats(0.2, 3))
+    shear = draw(st.floats(-1, 1))
+    shift = np.array([draw(st.floats(-2, 2)), draw(st.floats(-2, 2))])
+    verts = circle @ np.array([[sx, 0.0], [shear, sy]]) + shift
+    return ConvexPolygon(verts, draw(st.booleans()))
+
+
+class TestArrayRulePolygons:
+    @given(convex_polygons(), st.sampled_from(TOLS), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_window_accept_and_scalar_loops(self, poly, t, data):
+        verts = poly.vertices
+        mids = (verts + np.roll(verts, -1, axis=0)) / 2
+        stars = [v for v in verts] + [v + s * t * nrm for v, nrm in zip(mids, poly.normals)
+                                      for s in (-1.0, 0.0, 1.0)]
+        lo, hi = poly.bbox()
+        stars += [lo - 0.5 + (hi - lo + 1.0) * np.array(data.draw(st.tuples(
+            st.floats(0, 1), st.floats(0, 1)))) for _ in range(8)]
+        stars = np.array(stars)
+        margin = old_polygon_margin(poly, stars)
+        expected = np.where(margin > t, 1, np.where(margin < -t, -1, 0))
+        interior, boundary = poly.classify_array(stars, t)
+        codes = np.where(boundary, 0, np.where(interior, 1, -1))
+        assert np.array_equal(codes, expected)
+        assert poly.boundary_hits(stars, t) == [(r, 0, "edge")
+                                                for r in np.flatnonzero(expected == 0)]
+        # the scalar loop used math.hypot, which differs from np.hypot in the
+        # last bit on some edges; where they agree the results must too
+        edges = np.roll(verts, -1, axis=0) - verts
+        same_hypot = all(math.hypot(*e) == np.hypot(*e) for e in edges)
+        for r, p in enumerate(stars):
+            region = poly.classify(p, t)
+            assert CODE[region] == codes[r]
+            assert poly.accepts(p, t) == (region is Region.INTERIOR or (
+                region is Region.BOUNDARY and poly.boundary_included))
+            assert poly.boundary_distance(p) == old_polygon_boundary_distance(poly, p)
+            if same_hypot:
+                assert region is old_polygon_classify(poly, p, t)
+
+    def test_vertices_are_boundary(self):
+        sq = square()
+        assert sq.classify_array(sq.vertices, 0.0)[1].all()
+        assert sq.classify_array([(1e-9, 0.5), (-1e-9, 0.5)], 1e-9)[1].all()
+
+
+def test_traced_methods_live_on_their_classes():
+    # perfbench/tracer.py replaces these by class (vars(cls)[name]); a shared
+    # base class holding accepts would make every traced run raise KeyError
+    from aperiodic.scheme import LatticeScheme
+    assert "accepts" in vars(IntervalUnion)
+    assert "accepts" in vars(ConvexPolygon)
+    assert "star_exact" in vars(LatticeScheme)
