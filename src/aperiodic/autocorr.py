@@ -26,12 +26,15 @@ from .pointset import (
     Box,
     IndexedPointSet,
     _coverage_gap,
-    _distinct_matches,
+    _nearest_offsets,
     _pairs_within,
+    _shift_search,
+    _snap,
+    _symdiff_count,
     difference_set,
     match_index,
 )
-from .scheme import LatticeScheme, lattice_points, resolve_index
+from .scheme import LatticeScheme, resolve_index
 from .window import ConvexPolygon, IntervalUnion
 
 DEFAULT_BOX_SIZES = (125, 250, 500, 1000, 2000, 4000)
@@ -262,8 +265,7 @@ def symdiff_density(pset: IndexedPointSet, other: IndexedPointSet, boxes) -> Sym
             raise RegionTooSmall(f"both patches must cover box {box}")
         a = pset.physical[pset.contains_mask(box)]
         b = other.physical[other.contains_mask(box)]
-        m = _distinct_matches(a, b, MATCH_TOL)
-        vals.append((len(a) + len(b) - 2 * m) / box.volume())
+        vals.append(_symdiff_count(a, b, MATCH_TOL) / box.volume())
     return SymdiffReport(np.asarray(vals), list(boxes))
 
 
@@ -365,65 +367,25 @@ def _convex_overlap_area(subject: np.ndarray, clip: np.ndarray) -> float:
 
 
 def mact_close(pset: IndexedPointSet, other: IndexedPointSet, shift_radius: float,
-               eps: float, boxes, levels: int = 3):
+               eps: float, boxes):
     """Statistical closeness up to a small shift.
 
-    Searches shifts v (coarse-to-fine grid of step shift_radius/10, then a
-    snap to the mean offset of paired near-coincident points) minimizing the
-    upper symmetric-difference density of (v + P) against Q.  Returns
+    ``_shift_search`` minimizes the upper symmetric-difference density of
+    (v + P) against Q; ``_snap`` by the median offset of the nearest pairs
+    within 0.2 in the last box is kept if it lowers the density.  Returns
     (closer_than_eps, v, value).
     """
-    dim = pset.dim
-    best_v = np.zeros(dim)
-    best = _shifted_symdiff(pset, other, best_v, boxes)
-    step = shift_radius / 10.0
-    cells = lattice_points(np.eye(dim), [-10] * dim, [10] * dim)
-    center = best_v.copy()
-    for _ in range(levels):
-        offsets = cells * step
-        for off in offsets:
-            v = center + off
-            if np.max(np.abs(v)) > shift_radius + 1e-12:
-                continue
-            val = _shifted_symdiff(pset, other, v, boxes)
-            if val < best:
-                best, best_v = val, v
-        center = best_v.copy()
-        step /= 10.0
-    snapped = _snap_to_pairs(pset, other, best_v, boxes[-1])
-    if snapped is not None and np.max(np.abs(snapped)) <= shift_radius + 1e-12:
-        val = _shifted_symdiff(pset, other, snapped, boxes)
-        if val < best:
-            best, best_v = val, snapped
-    return bool(best <= eps), best_v, float(best)
+    def value(v, step=None):
+        moved = pset.translate(v)
+        usable = [b for b in boxes if moved.region.covers(b) and other.region.covers(b)]
+        if not usable:
+            raise RegionTooSmall("no box fits both patches after the shift")
+        return symdiff_density(moved, other, usable).upper
 
-
-def _shifted_symdiff(pset, other, v, boxes) -> float:
-    moved = pset.translate(v)
-    usable = [b for b in boxes
-              if moved.region.covers(b) and other.region.covers(b)]
-    if not usable:
-        raise RegionTooSmall("no box fits both patches after the shift")
-    return symdiff_density(moved, other, usable).upper
-
-
-def _snap_to_pairs(pset, other, v, box):
+    v, box = _shift_search(value, pset.dim, shift_radius), boxes[-1]
     moved = pset.physical + v
-    sel = Box(box.lo, box.hi).contains(moved)
-    a = moved[sel]
-    b = other.physical[other.contains_mask(box)]
-    if len(a) == 0 or len(b) == 0:
-        return None
-    bx = b[:, 0]
-    pair_tol = 0.2
-    deltas = []
-    for p in a:
-        lo = np.searchsorted(bx, p[0] - pair_tol, side="left")
-        hi = np.searchsorted(bx, p[0] + pair_tol, side="right")
-        if hi > lo:
-            cand = b[lo:hi]
-            j = np.argmin(np.linalg.norm(cand - p, axis=1))
-            deltas.append(cand[j] - p)
-    if not deltas:
-        return None
-    return v + np.median(np.asarray(deltas), axis=0)
+    offsets = _nearest_offsets(moved[box.contains(moved)],
+                               other.physical[other.contains_mask(box)], 0.2)
+    v = min([v, _snap(v, offsets, np.median, shift_radius)], key=value)
+    best = value(v)
+    return bool(best <= eps), v, float(best)

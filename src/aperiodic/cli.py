@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -149,6 +150,26 @@ def _param(params, key):
         raise ConfigError(f"missing required params.{key}") from None
 
 
+# what _checked accepts for each key: types, test, and the words for it
+_RULES = {
+    "radius": ((int, float), lambda x: 0 < x < math.inf, "a finite number > 0"),
+    "band": ((int, float), lambda x: 0 <= x < math.inf, "a finite number >= 0"),
+    "samples": ((int,), lambda x: x >= 1, "an integer >= 1"),
+}
+
+
+def _checked(params, key, default):
+    """``params.get(key, default)``, a config error unless it passes
+    ``_RULES[key]`` or is the default None; bools are rejected."""
+    value = params.get(key, default)
+    if value is None and default is None:
+        return None
+    types, ok, what = _RULES[key]
+    if isinstance(value, bool) or not isinstance(value, types) or not ok(value):
+        raise ConfigError(f"params.{key} must be {what}, got {value!r}")
+    return value
+
+
 # -- handlers ---------------------------------------------------------------
 
 def _h_generate(cfg, out, warnings):
@@ -281,17 +302,15 @@ def _h_torus(cfg, out, warnings):
     if sub == "beta":
         tp = tr.beta_of_cut(scheme, _param(params, "x"), params.get("h", []))
         return {"frac": tp.frac.tolist()}
-    band = params.get("band")
-    if band is not None and (isinstance(band, bool) or not isinstance(band, (int, float))
-                             or not 0 <= band < float("inf")):
-        raise ConfigError(f"params.band must be a finite number >= 0, got {band!r}")
     if sub == "singularity":
         tp = tr.torus_point_from_frac(scheme, _param(params, "frac"))
-        hits = tr.singularity_test(scheme, window, tp, params.get("radius", 1000.0), band)
+        hits = tr.singularity_test(scheme, window, tp, _checked(params, "radius", 1000.0),
+                                   _checked(params, "band", None))
         return {"singular": bool(hits), "hits": [list(h.index) for h in hits]}
     if sub == "separation":
-        rep = sp.separation_fraction(scheme, window, params.get("samples", 100),
-                                     cfg["seed"], params.get("radius", 1000.0), band)
+        rep = sp.separation_fraction(scheme, window, _checked(params, "samples", 100),
+                                     cfg["seed"], _checked(params, "radius", 1000.0),
+                                     _checked(params, "band", None))
         return {"fraction": rep.fraction, "n_singular": rep.n_singular}
     raise ConfigError(f"unknown torus op {sub!r}")
 
@@ -300,7 +319,7 @@ def _h_fiber(cfg, out, warnings):
     params = cfg.get("params", {})
     scheme, window, _, _ = _inputs(cfg, need_points=False)
     tp = tr.torus_point_from_frac(scheme, _param(params, "frac"))
-    rep = tr.fiber_enumerate(scheme, window, tp, params.get("radius", 100.0))
+    rep = tr.fiber_enumerate(scheme, window, tp, _checked(params, "radius", 100.0))
     if rep.multiple_orbits:
         warnings.append("more than one boundary orbit is hit; the two reported "
                         "one-sided limits need not exhaust the fiber")

@@ -480,63 +480,69 @@ def period_candidates(pset: IndexedPointSet, scan_radius=None) -> PeriodReport:
 
 
 def lt_close(pset: IndexedPointSet, other: IndexedPointSet, match_radius: float,
-             shift_radius: float, levels: int = 3):
+             shift_radius: float):
     """Local-topology closeness: do P and Q agree on the centered match box
     after some shift v with |v| <= shift_radius?
 
-    Returns (matched, v).  The search is a coarse-to-fine grid (step
-    shift_radius/10, three refinement levels) followed by a snap to the mean
-    offset of paired nearest points; the final verdict requires an exact
-    match at tolerance 1e-7.
+    Returns (matched, v).  ``_shift_search`` minimizes (mismatches at
+    tolerance max(step, MATCH_TOL), |v|); ``_snap`` then adds the mean offset
+    of the nearest pairs within match_radius/10 in sup norm, unless that
+    leaves the shift radius.  The verdict requires an exact match at
+    tolerance MATCH_TOL.
     """
     box = Box.centered(match_radius, pset.dim)
-    v = np.zeros(pset.dim)
-    step = shift_radius / 10.0
-    grid = np.arange(-10, 11, dtype=np.float64)
-    for _ in range(levels):
-        best_v, best_score = v, _lt_mismatch(pset, other, box, v, max(step, MATCH_TOL))
-        offsets = (np.stack(np.meshgrid(*[grid] * pset.dim, indexing="ij"), axis=-1)
-                   .reshape(-1, pset.dim) * step)
-        for off in offsets:
-            cand = v + off
-            if np.max(np.abs(cand)) > shift_radius + 1e-12:
-                continue
-            score = _lt_mismatch(pset, other, box, cand, max(step, MATCH_TOL))
-            if score < best_score or (score == best_score and
-                                      np.linalg.norm(cand) < np.linalg.norm(best_v)):
-                best_v, best_score = cand, score
-        v = best_v
-        step /= 10.0
-    v = _snap_shift(pset, other, box, v, match_radius / 10.0)
-    matched = _lt_mismatch(pset, other, box, v, MATCH_TOL) == 0
-    return matched, v
-
-
-def _lt_mismatch(pset, other, box, v, tol) -> int:
-    a = pset.physical + v
-    amask = box.contains(a, tol=MATCH_TOL)
     b = other.physical[other.contains_mask(box)]
-    a = a[amask]
+
+    def moved(v):
+        a = pset.physical + v
+        return a[box.contains(a, tol=MATCH_TOL)]
+
+    v = _shift_search(lambda v, step: (_symdiff_count(moved(v), b, max(step, MATCH_TOL)),
+                                       np.linalg.norm(v)), pset.dim, shift_radius)
+    pair_tol = match_radius / 10.0
+    offsets = _nearest_offsets(moved(v), b, pair_tol)
+    v = _snap(v, offsets[np.all(np.abs(offsets) <= pair_tol, axis=1)], np.mean, shift_radius)
+    return _symdiff_count(moved(v), b, MATCH_TOL) == 0, v
+
+
+def _symdiff_count(a, b, tol) -> int:
+    """Size of the symmetric difference of ``a`` and ``b`` under matching at ``tol``."""
     return len(a) + len(b) - 2 * _distinct_matches(a, b, tol)
 
 
-def _snap_shift(pset, other, box, v, pair_tol):
-    a = pset.physical + v
-    amask = box.contains(a, tol=MATCH_TOL)
-    a = a[amask]
-    b = other.physical[other.contains_mask(box)]
-    if len(a) == 0 or len(b) == 0:
+def _shift_search(key, dim, shift_radius):
+    """Coarse-to-fine minimizer of ``key(v, step)`` over |v|_inf <= shift_radius.
+
+    Three levels of the 21^dim grid of step shift_radius/10, /100 and /1000,
+    each centred on the last winner; the centre, then the lexicographically
+    first grid point, wins ties.
+    """
+    cells = np.indices((21,) * dim).reshape(dim, -1).T - 10
+    v, step = np.zeros(dim), shift_radius / 10.0
+    for _ in range(3):
+        cands = v + cells * step
+        cands = cands[np.max(np.abs(cands), axis=1) <= shift_radius + 1e-12]
+        v = min([v, *cands], key=lambda c: key(c, step))
+        step /= 10.0
+    return v
+
+
+def _nearest_offsets(a, b, reach) -> np.ndarray:
+    """b[j] - a[i] for each a[i] with partners in the strip |b_x - a_x| <= reach:
+    the Euclidean-nearest one, the first on ties.  ``b`` is sorted by x."""
+    lo = np.searchsorted(b[:, 0], a[:, 0] - reach, side="left")
+    hi = np.searchsorted(b[:, 0], a[:, 0] + reach, side="right")
+    i, j = kernels.expand_ranges(lo, hi)
+    offsets = b[j] - a[i]
+    # a stable sort on (i, distance) puts each i's first nearest partner in front
+    order = np.lexsort((np.linalg.norm(offsets, axis=1), i))
+    _, first = np.unique(i[order], return_index=True)
+    return offsets[order[first]]
+
+
+def _snap(v, offsets, stat, shift_radius):
+    """v + stat(offsets), or v when there are no offsets or that leaves the shift radius."""
+    if len(offsets) == 0:
         return v
-    deltas = []
-    bx = b[:, 0]
-    for p in a:
-        lo = np.searchsorted(bx, p[0] - pair_tol, side="left")
-        hi = np.searchsorted(bx, p[0] + pair_tol, side="right")
-        if hi > lo:
-            cand = b[lo:hi]
-            j = np.argmin(np.linalg.norm(cand - p, axis=1))
-            if np.all(np.abs(cand[j] - p) <= pair_tol):
-                deltas.append(cand[j] - p)
-    if not deltas:
-        return v
-    return v + np.mean(deltas, axis=0)
+    snapped = v + stat(offsets, axis=0)
+    return snapped if np.max(np.abs(snapped)) <= shift_radius + 1e-12 else v

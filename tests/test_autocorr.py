@@ -5,6 +5,7 @@ import pytest
 
 import aperiodic as ap
 from aperiodic.errors import EpsilonOutOfRange, NotInL, RegionTooSmall
+from aperiodic.scheme import lattice_points
 
 TAU = (1 + math.sqrt(5)) / 2
 
@@ -220,3 +221,100 @@ class TestMactClose:
         overlap = window.intersect(window.reflect())
         expected = 2 * scheme.lattice_density * (window.measure() - overlap.measure())
         assert val == pytest.approx(expected, rel=0.10)
+
+
+def _old_mact_close(pset, other, shift_radius, eps, boxes):
+    """autocorr.mact_close with its own lattice_points search and per-point
+    snap, before the shared shift search."""
+    dim = pset.dim
+    best_v = np.zeros(dim)
+    best = _shifted_symdiff(pset, other, best_v, boxes)
+    step = shift_radius / 10.0
+    cells = lattice_points(np.eye(dim), [-10] * dim, [10] * dim)
+    center = best_v.copy()
+    for _ in range(3):
+        offsets = cells * step
+        for off in offsets:
+            v = center + off
+            if np.max(np.abs(v)) > shift_radius + 1e-12:
+                continue
+            val = _shifted_symdiff(pset, other, v, boxes)
+            if val < best:
+                best, best_v = val, v
+        center = best_v.copy()
+        step /= 10.0
+    snapped = _old_snap_to_pairs(pset, other, best_v, boxes[-1])
+    if snapped is not None and np.max(np.abs(snapped)) <= shift_radius + 1e-12:
+        val = _shifted_symdiff(pset, other, snapped, boxes)
+        if val < best:
+            best, best_v = val, snapped
+    return bool(best <= eps), best_v, float(best)
+
+
+def _shifted_symdiff(pset, other, v, boxes) -> float:
+    moved = pset.translate(v)
+    usable = [b for b in boxes
+              if moved.region.covers(b) and other.region.covers(b)]
+    if not usable:
+        raise RegionTooSmall("no box fits both patches after the shift")
+    return ap.symdiff_density(moved, other, usable).upper
+
+
+def _old_snap_to_pairs(pset, other, v, box):
+    moved = pset.physical + v
+    sel = ap.Box(box.lo, box.hi).contains(moved)
+    a = moved[sel]
+    b = other.physical[other.contains_mask(box)]
+    if len(a) == 0 or len(b) == 0:
+        return None
+    bx = b[:, 0]
+    pair_tol = 0.2
+    deltas = []
+    for p in a:
+        lo = np.searchsorted(bx, p[0] - pair_tol, side="left")
+        hi = np.searchsorted(bx, p[0] + pair_tol, side="right")
+        if hi > lo:
+            cand = b[lo:hi]
+            j = np.argmin(np.linalg.norm(cand - p, axis=1))
+            deltas.append(cand[j] - p)
+    if not deltas:
+        return None
+    return v + np.median(np.asarray(deltas), axis=0)
+
+
+@pytest.fixture(scope="module")
+def fib_patch_1k(fib):
+    scheme, window = fib
+    return ap.enumerate_cut(scheme, window, ap.Box.make([-60], [1060]))
+
+
+@pytest.fixture(scope="module")
+def ab_patch_12(ab):
+    scheme, window = ab
+    return ap.enumerate_cut(scheme, window, ap.Box.make([-2, -2], [12, 12]))
+
+
+class TestMactCloseOracle:
+    """mact_close equals the pre-refactor search bit for bit."""
+
+    def check(self, pset, shift, shift_radius, boxes):
+        moved = pset.translate(shift)
+        usable = [b for b in boxes if moved.region.covers(b)]
+        got = ap.mact_close(moved, pset, shift_radius, 0.01, usable)
+        want = _old_mact_close(moved, pset, shift_radius, 0.01, usable)
+        assert got[0] == want[0] and got[2] == want[2]
+        assert got[1].tobytes() == want[1].tobytes()
+
+    # grid hits (-0.3, 13.0 outside the radius), median snaps (0.0123 at
+    # radius 0.1, 0.1234 at 0.2) and plateaus the search cannot leave
+    @pytest.mark.parametrize("shift,shift_radius", [
+        (0.0, 0.5), (-0.3, 0.5), (13.0, 0.5), (0.0123, 0.1), (0.1234, 0.2), (0.0123, 0.5),
+        (0.1234, 0.1)])
+    def test_fibonacci(self, fib_patch_1k, shift, shift_radius):
+        self.check(fib_patch_1k, [shift], shift_radius,
+                   ap.default_boxes((125, 250, 500), dim=1, anchored=True))
+
+    def test_ammann_beenker(self, ab_patch_12):
+        # the grid cannot reach this shift; the snap does
+        self.check(ab_patch_12, (0.0123, -0.0071), 0.1,
+                   ap.default_boxes((5, 10), dim=2, anchored=True))

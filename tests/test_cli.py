@@ -375,6 +375,24 @@ class TestConfigErrors:
                           "radius": 10.0, "band": band}}
         assert "params.band" in self.run(tmp_path, capsys, cfg)
 
+    @pytest.mark.parametrize("operation,params,bad", [
+        (op, params, (key, value))
+        for op, params, keys in [
+            ("torus", {"op": "singularity", "frac": [0.1, 0.2]}, ("radius", "band")),
+            ("torus", {"op": "separation"}, ("radius", "band", "samples")),
+            ("fiber", {"frac": [0.1, 0.2]}, ("radius",))]
+        for key, value in [
+            ("radius", "x"), ("radius", -5), ("radius", 0), ("radius", float("inf")),
+            ("radius", float("nan")), ("radius", True), ("radius", None),
+            ("band", True), ("band", float("inf")), ("samples", "x"), ("samples", -3),
+            ("samples", 0), ("samples", 2.0), ("samples", True)]
+        if key in keys])
+    def test_torus_and_fiber_param_checks(self, tmp_path, capsys, operation, params, bad):
+        key, value = bad
+        cfg = {"operation": operation, "scheme": {"name": "fibonacci"}, "seed": 1,
+               "params": {**params, key: value}}
+        assert f"config error: params.{key} must be" in self.run(tmp_path, capsys, cfg)
+
     def test_points_region_rejected(self, tmp_path, capsys):
         path = tmp_path / "pts.csv"
         path.write_text("x\n0.0\n1.5\n3.0\n")

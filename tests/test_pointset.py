@@ -11,7 +11,15 @@ from aperiodic.errors import (
     RegionTooSmall,
     UndefinedStatistic,
 )
-from aperiodic.pointset import MATCH_TOL, QUANT, Box, IndexedPointSet, match_index
+from aperiodic.pointset import (
+    MATCH_TOL,
+    QUANT,
+    Box,
+    IndexedPointSet,
+    _distinct_matches,
+    _nearest_offsets,
+    match_index,
+)
 
 TAU = (1 + math.sqrt(5)) / 2
 
@@ -487,3 +495,140 @@ class TestLtClose:
         ok, v = ap.lt_close(shifted, big, 10.0, 0.12)
         if ok:
             assert abs(v[0]) < 1e-7
+
+    def test_snap_stays_within_shift_radius(self, fib_patch_small):
+        # the mean pair offset points at the true shift -0.55, outside the
+        # radius, so the grid shift is kept and the patches do not match
+        ok, v = ap.lt_close(fib_patch_small.translate([0.55]), fib_patch_small, 10.0, 0.5)
+        assert not ok
+        assert abs(v[0]) <= 0.5
+
+
+def _old_lt_close(pset, other, match_radius, shift_radius):
+    """pointset.lt_close with its own meshgrid search and per-point snap,
+    before the shared shift search."""
+    box = Box.centered(match_radius, pset.dim)
+    v = np.zeros(pset.dim)
+    step = shift_radius / 10.0
+    grid = np.arange(-10, 11, dtype=np.float64)
+    for _ in range(3):
+        best_v, best_score = v, _old_lt_mismatch(pset, other, box, v, max(step, MATCH_TOL))
+        offsets = (np.stack(np.meshgrid(*[grid] * pset.dim, indexing="ij"), axis=-1)
+                   .reshape(-1, pset.dim) * step)
+        for off in offsets:
+            cand = v + off
+            if np.max(np.abs(cand)) > shift_radius + 1e-12:
+                continue
+            score = _old_lt_mismatch(pset, other, box, cand, max(step, MATCH_TOL))
+            if score < best_score or (score == best_score and
+                                      np.linalg.norm(cand) < np.linalg.norm(best_v)):
+                best_v, best_score = cand, score
+        v = best_v
+        step /= 10.0
+    v = _old_snap_shift(pset, other, box, v, match_radius / 10.0)
+    matched = _old_lt_mismatch(pset, other, box, v, MATCH_TOL) == 0
+    return matched, v
+
+
+def _old_lt_mismatch(pset, other, box, v, tol) -> int:
+    a = pset.physical + v
+    amask = box.contains(a, tol=MATCH_TOL)
+    b = other.physical[other.contains_mask(box)]
+    a = a[amask]
+    return len(a) + len(b) - 2 * _distinct_matches(a, b, tol)
+
+
+def _old_snap_shift(pset, other, box, v, pair_tol):
+    a = pset.physical + v
+    amask = box.contains(a, tol=MATCH_TOL)
+    a = a[amask]
+    b = other.physical[other.contains_mask(box)]
+    if len(a) == 0 or len(b) == 0:
+        return v
+    deltas = []
+    bx = b[:, 0]
+    for p in a:
+        lo = np.searchsorted(bx, p[0] - pair_tol, side="left")
+        hi = np.searchsorted(bx, p[0] + pair_tol, side="right")
+        if hi > lo:
+            cand = b[lo:hi]
+            j = np.argmin(np.linalg.norm(cand - p, axis=1))
+            if np.all(np.abs(cand[j] - p) <= pair_tol):
+                deltas.append(cand[j] - p)
+    if not deltas:
+        return v
+    return v + np.mean(deltas, axis=0)
+
+
+@pytest.fixture(scope="module")
+def ab_patch_small(ab):
+    scheme, window = ab
+    return ap.enumerate_cut(scheme, window, Box.make([-8, -8], [8, 8]))
+
+
+# (shift, match radius, shift radius, snapped past the shift radius before)
+LT_CASES_1D = [(0.0, 10.0, 0.5, False), (0.037, 10.0, 0.5, False), (-0.21, 10.0, 0.5, False),
+               (0.49, 10.0, 0.5, False), (0.0123, 10.0, 0.5, False), (0.55, 10.0, 1.0, False),
+               (1.0, 10.0, 0.5, False), (0.1, 5.0, 0.2, False),
+               (0.55, 10.0, 0.5, True), (0.2, 10.0, 0.12, True)]
+LT_CASES_2D = [((0.03, -0.02), 4.0, 0.5, False),
+               ((0.0123, -0.0071), 4.0, 0.5, False), ((0.45, -0.45), 4.0, 0.5, False),
+               ((0.52, 0.0), 4.0, 0.5, True)]
+
+
+class TestLtCloseOracle:
+    """lt_close equals the pre-refactor search bit for bit, except that a
+    snap past the shift radius now keeps the grid shift."""
+
+    def check(self, pset, shift, match_radius, shift_radius, fixed):
+        moved = pset.translate(shift)
+        ok, v = ap.lt_close(moved, pset, match_radius, shift_radius)
+        old_ok, old_v = _old_lt_close(moved, pset, match_radius, shift_radius)
+        if fixed:
+            assert np.max(np.abs(old_v)) > shift_radius
+            assert np.max(np.abs(v)) <= shift_radius
+        else:
+            assert ok == old_ok
+            assert v.tobytes() == old_v.tobytes()
+
+    @pytest.mark.parametrize("shift,match_radius,shift_radius,fixed", LT_CASES_1D)
+    def test_fibonacci(self, fib_patch_small, shift, match_radius, shift_radius, fixed):
+        self.check(fib_patch_small, [shift], match_radius, shift_radius, fixed)
+
+    @pytest.mark.parametrize("shift,match_radius,shift_radius,fixed", LT_CASES_2D)
+    def test_ammann_beenker(self, ab_patch_small, shift, match_radius, shift_radius, fixed):
+        self.check(ab_patch_small, shift, match_radius, shift_radius, fixed)
+
+
+def _nearest_brute(a, b, reach):
+    rows = []
+    for p in a:
+        cand = [q for q in b if abs(q[0] - p[0]) <= reach]
+        if cand:
+            dist = [math.sqrt(sum((qc - pc) ** 2 for qc, pc in zip(q, p))) for q in cand]
+            rows.append(cand[dist.index(min(dist))] - p)
+    return np.array(rows).reshape(-1, a.shape[1])
+
+
+class TestNearestOffsets:
+    @pytest.mark.parametrize("dim,seed", [(1, 0), (1, 1), (2, 2), (2, 3)])
+    def test_matches_brute_force(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        b = IndexedPointSet(rng.uniform(0, 20, (60, dim)), Box.make([0] * dim, [20] * dim))
+        a = rng.uniform(-2, 22, (80, dim))
+        got = _nearest_offsets(a, b.physical, 0.4)
+        assert 0 < len(got) < len(a)
+        assert got.tobytes() == _nearest_brute(a, b.physical, 0.4).tobytes()
+
+    def test_exact_tie_takes_the_first_partner(self):
+        b = np.array([[0.0], [1.0]])
+        assert _nearest_offsets(np.array([[0.5], [0.75]]), b, 1.0).tolist() == [[-0.5], [0.25]]
+        b = np.array([[0.0, -1.0], [0.0, 1.0]])
+        assert _nearest_offsets(np.array([[0.0, 0.0]]), b, 1.0).tolist() == [[0.0, -1.0]]
+
+    def test_empty_strip(self):
+        b = np.array([[0.0], [1.0]])
+        got = _nearest_offsets(np.array([[0.25], [5.0], [0.75]]), b, 0.5)
+        assert got.tolist() == [[-0.25], [0.25]]
+        assert _nearest_offsets(np.array([[5.0]]), b, 0.5).shape == (0, 1)
+        assert _nearest_offsets(np.zeros((0, 2)), np.zeros((0, 2)), 0.5).shape == (0, 2)
