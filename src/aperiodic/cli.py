@@ -150,18 +150,32 @@ def _param(params, key):
         raise ConfigError(f"missing required params.{key}") from None
 
 
+def _finite(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+_POSITIVE = ((int, float), lambda x: 0 < x < math.inf, "a finite number > 0")
+_COUNT = ((int,), lambda x: x >= 1, "an integer >= 1")
 # what _checked accepts for each key: types, test, and the words for it
 _RULES = {
-    "radius": ((int, float), lambda x: 0 < x < math.inf, "a finite number > 0"),
+    "radius": _POSITIVE,
+    "cover_radius": _POSITIVE,
+    "k_half": _POSITIVE,
     "band": ((int, float), lambda x: 0 <= x < math.inf, "a finite number >= 0"),
-    "samples": ((int,), lambda x: x >= 1, "an integer >= 1"),
+    "samples": _COUNT,
+    "n_pairs": _COUNT,
+    "n_anchors": _COUNT,
+    "pair_range": ((list, tuple), lambda x: len(x) == 2 and all(map(_finite, x)) and x[0] <= x[1],
+                   "two finite numbers lo <= hi"),
 }
+_REQUIRED = object()
 
 
-def _checked(params, key, default):
+def _checked(params, key, default=_REQUIRED):
     """``params.get(key, default)``, a config error unless it passes
-    ``_RULES[key]`` or is the default None; bools are rejected."""
-    value = params.get(key, default)
+    ``_RULES[key]`` or is the default None; bools are rejected.  Without a
+    default the key is required."""
+    value = _param(params, key) if default is _REQUIRED else params.get(key, default)
     if value is None and default is None:
         return None
     types, ok, what = _RULES[key]
@@ -204,17 +218,17 @@ def _h_analyze(cfg, out, warnings):
         return {"count": len(cands.k), "k": cands.k.tolist(),
                 "k_internal": cands.k_internal.tolist()}
     if sub == "difference_set":
-        diffs = ps.difference_set(pset, _param(params, "radius"))
+        diffs = ps.difference_set(pset, _checked(params, "radius"))
         io.pointset_to_csv(diffs, out / "differences.csv")
         return {"count": len(diffs)}
     if sub == "packing_radius":
         return {"packing_radius": ps.packing_radius(pset)}
     if sub == "flc_clusters":
-        rep = ps.flc_clusters(pset, _param(params, "radius"))
+        rep = ps.flc_clusters(pset, _checked(params, "radius"))
         return {"cluster_count": rep.count,
                 "multiplicities": [c[1] for c in rep.clusters]}
     if sub == "repetition_set":
-        rep = ps.repetition_set(pset, _param(params, "radius"))
+        rep = ps.repetition_set(pset, _checked(params, "radius"))
         return {"match_count": len(rep.matches), "max_gap": rep.max_gap}
     if sub == "patch_frequency":
         boxes = build_boxes(cfg, pset.dim)
@@ -225,17 +239,18 @@ def _h_analyze(cfg, out, warnings):
         rep = ps.period_candidates(pset, params.get("scan_radius"))
         return {"periods": rep.periods.tolist(), "rank": rep.lattice_rank}
     if sub == "m1_cover":
-        rep = my.m1_cover(pset, _param(params, "radius"))
+        rep = my.m1_cover(pset, _checked(params, "radius"))
         return {"card_small": rep.card_small, "card_large": rep.card_large,
                 "stable": rep.stable}
     if sub == "weak_ud":
-        radius = _param(params, "radius")
+        radius, half = _checked(params, "radius"), _checked(params, "k_half")
+        if not half < radius / 2:
+            raise ConfigError(f"params.k_half must be below params.radius / 2, got {half!r}")
+        n_anchors = _checked(params, "n_anchors", 100)
         diffs = ps.difference_set(pset, radius)
         rng = np.random.Generator(np.random.PCG64(cfg["seed"]))
-        half = _param(params, "k_half")
         usable = radius - 2 * half
-        anchors = rng.uniform(-usable, usable,
-                              size=(params.get("n_anchors", 100), pset.dim))
+        anchors = rng.uniform(-usable, usable, size=(n_anchors, pset.dim))
         rep = my.weak_ud_bound(diffs, half, anchors)
         return {"bound": rep.bound, "bound_doubled": rep.bound_doubled}
     raise ConfigError(f"unknown analyze op {sub!r}")
@@ -246,7 +261,7 @@ def _h_autocorr(cfg, out, warnings):
     scheme, window, pset, warns = _inputs(cfg)
     warnings.extend(warns)
     boxes = build_boxes(cfg, pset.dim)
-    table = ac.eta_table(pset, _param(params, "radius"), boxes)
+    table = ac.eta_table(pset, _checked(params, "radius"), boxes)
     payload = table.to_json()
     (out / "autocorrelation.json").write_text(io.json_dumps_stable(payload) + "\n")
     return {"eta0": table.eta0, "delta_count": len(table.deltas)}
@@ -257,7 +272,7 @@ def _h_almost_periods(cfg, out, warnings):
     scheme, window, pset, warns = _inputs(cfg)
     warnings.extend(warns)
     boxes = build_boxes(cfg, pset.dim)
-    table = ac.eta_table(pset, _param(params, "radius"), boxes)
+    table = ac.eta_table(pset, _checked(params, "radius"), boxes)
     eps_list = params.get("eps", [])
     eps_list = eps_list + [f * 2.0 * table.eta0 for f in params.get("eps_fracs", [])]
     results = {"eta0": table.eta0, "levels": []}
@@ -343,15 +358,18 @@ def _h_reconstruct(cfg, out, warnings):
 
 def _h_meyer_cert(cfg, out, warnings):
     params = cfg.get("params", {})
+    cover_radius = _checked(params, "cover_radius", 50.0)
+    lo, hi = _checked(params, "pair_range", [0.0, 100.0])
+    n_pairs = _checked(params, "n_pairs", 10)
     scheme, window, pset, warns = _inputs(cfg)
     warnings.extend(warns)
-    cover = my.m1_cover(pset, params.get("cover_radius", 50.0))
-    rng = np.random.Generator(np.random.PCG64(cfg["seed"]))
-    lo, hi = params.get("pair_range", [0.0, 100.0])
-    mask = (pset.physical[:, 0] >= lo) & (pset.physical[:, 0] <= hi) \
-        if pset.dim == 1 else pset.contains_mask(Box.make([lo] * pset.dim, [hi] * pset.dim))
+    mask = (pset.physical[:, 0] >= lo) & (pset.physical[:, 0] <= hi) if pset.dim == 1 \
+        else pset.contains_mask(Box(np.full(pset.dim, float(lo)), np.full(pset.dim, float(hi))))
     pool = np.flatnonzero(mask)
-    n_pairs = params.get("n_pairs", 10)
+    if len(pool) == 0:
+        raise ConfigError(f"no patch point falls in params.pair_range {[lo, hi]}")
+    cover = my.m1_cover(pset, cover_radius)
+    rng = np.random.Generator(np.random.PCG64(cfg["seed"]))
     certs = []
     for _ in range(n_pairs):
         i, j = rng.choice(pool, size=2, replace=True)

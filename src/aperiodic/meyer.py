@@ -20,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChainFailure, NotInL, NotSchemeBacked, RegionTooSmall
-from .pointset import MATCH_TOL, Box, IndexedPointSet, _grid_covering_radius, difference_set
+from .pointset import (
+    MATCH_TOL,
+    IndexedPointSet,
+    _first_rows,
+    _grid_covering_radius,
+    difference_set,
+)
 from .scheme import LatticeScheme
 
 
@@ -50,30 +56,53 @@ def m1_cover(pset: IndexedPointSet, radius: float) -> CoverReport:
 
     For every observed difference delta (up to twice ``radius``), the nearest
     patch point lambda gives the translator f = delta - lambda; a Meyer set
-    shows a translator list that stops growing with the radius.
+    shows a translator list that stops growing with the radius.  Translators
+    are keyed by their index rows when both sets carry indices, else by their
+    MATCH_TOL grid cell, and listed in key order with the first difference's
+    physical vector for each key.
     """
     diffs = difference_set(pset, 2.0 * radius)
-    pos = pset.positions_1d() if pset.dim == 1 else None
-    small_keys, large_keys = set(), set()
-    translators = {}
-    for i in range(len(diffs)):
-        delta = diffs.physical[i]
-        j = _nearest_point(pset, pos, delta)
-        f_phys = delta - pset.physical[j]
-        if diffs.index is not None and pset.index is not None:
-            key = tuple(diffs.index[i] - pset.index[j])
-        else:
-            key = tuple(np.round(f_phys / MATCH_TOL).astype(np.int64))
-        large_keys.add(key)
-        if float(np.max(np.abs(delta))) <= radius + MATCH_TOL:
-            small_keys.add(key)
-        if key not in translators:
-            translators[key] = f_phys
-    keys = sorted(translators)
-    f_arr = np.array([translators[k] for k in keys])
-    idx_arr = (np.array(keys, dtype=np.int64)
-               if diffs.index is not None and pset.index is not None else None)
-    return CoverReport(radius, f_arr, idx_arr, len(small_keys), len(large_keys))
+    nearest = _nearest_points(pset, diffs.physical)
+    f_phys = diffs.physical - pset.physical[nearest]
+    indexed = diffs.index is not None and pset.index is not None
+    keys = (diffs.index - pset.index[nearest] if indexed
+            else np.round(f_phys / MATCH_TOL).astype(np.int64))
+    first, _ = _first_rows(keys)
+    small = np.max(np.abs(diffs.physical), axis=1) <= radius + MATCH_TOL
+    return CoverReport(radius, f_phys[first], keys[first] if indexed else None,
+                       len(_first_rows(keys[small])[0]), len(first))
+
+
+def _nearest_points(pset, targets) -> np.ndarray:
+    """Index of the patch point nearest to each target.
+
+    In 1D the candidates are the sorted neighbours j - 1, j, j + 1 of the
+    insertion point j, in that order, and a later one wins only when it is
+    nearer by more than 1e-12.  In higher dimensions the first point of
+    least squared distance wins.
+    """
+    if pset.dim == 1:
+        pos, t = pset.positions_1d(), targets[:, 0]
+        j = np.searchsorted(pos, t)
+        best = j - 1
+        best_d = np.where(best >= 0, np.abs(pos[np.maximum(best, 0)] - t), np.inf)
+        for cand in (j, j + 1):
+            ok = cand < len(pos)
+            d = np.where(ok, np.abs(pos[np.minimum(cand, len(pos) - 1)] - t), np.inf)
+            better = ok & (d < best_d - 1e-12)
+            best = np.where(better, cand, best)
+            best_d = np.where(better, d, best_d)
+        return best
+    return _by_chunks(lambda t: np.argmin(np.sum((pset.physical - t[:, None]) ** 2, axis=2),
+                                          axis=1), targets, len(pset))
+
+
+def _by_chunks(fn, rows, n_points) -> np.ndarray:
+    """``fn`` on chunks of ``rows`` that each meet ``n_points`` points in an
+    array of about 2**20 entries, concatenated."""
+    step = max(1, 2**20 // max(n_points, 1))
+    return np.concatenate([np.empty(0, dtype=np.int64)]
+                          + [fn(rows[s:s + step]) for s in range(0, len(rows), step)])
 
 
 def _nearest_point(pset, sorted_pos, target):
@@ -103,23 +132,22 @@ class WeakUDReport:
 def weak_ud_bound(diffs: IndexedPointSet, k_half: float, anchors) -> WeakUDReport:
     """Largest number of difference points in any sampled anchored K box."""
     anchors = np.atleast_2d(np.asarray(anchors, dtype=np.float64))
-    counts = np.empty(len(anchors), dtype=np.int64)
-    counts2 = np.empty(len(anchors), dtype=np.int64)
-    for i, a in enumerate(anchors):
-        counts[i] = _count_in_box(diffs, a, k_half)
-        counts2[i] = _count_in_box(diffs, a, 2.0 * k_half)
+    counts = _count_in_boxes(diffs, anchors, k_half)
+    counts2 = _count_in_boxes(diffs, anchors, 2.0 * k_half)
     return WeakUDReport(float(k_half), int(counts.max()), int(counts2.max()), counts)
 
 
-def _count_in_box(diffs: IndexedPointSet, center, half: float) -> int:
-    center = np.asarray(center, dtype=np.float64)
+def _count_in_boxes(diffs: IndexedPointSet, centers, half: float) -> np.ndarray:
+    """Number of difference points in the box of half-width ``half`` (widened
+    by MATCH_TOL) around each of the (n, d) ``centers``."""
     if diffs.dim == 1:
-        pos = diffs.positions_1d()
-        lo = np.searchsorted(pos, center[0] - half - MATCH_TOL)
-        hi = np.searchsorted(pos, center[0] + half + MATCH_TOL, side="right")
-        return int(hi - lo)
-    box = Box(center - half, center + half)
-    return int(np.count_nonzero(diffs.contains_mask(box)))
+        pos, c = diffs.positions_1d(), centers[:, 0]
+        return (np.searchsorted(pos, c + half + MATCH_TOL, side="right")
+                - np.searchsorted(pos, c - half - MATCH_TOL))
+    pts = diffs.physical
+    return _by_chunks(lambda c: np.count_nonzero(np.all(
+        (pts >= c[:, None] - half - MATCH_TOL) & (pts <= c[:, None] + half + MATCH_TOL),
+        axis=2), axis=1), centers, len(diffs))
 
 
 @dataclass
@@ -213,7 +241,7 @@ def stepping_certificate(pset: IndexedPointSet, scheme: LatticeScheme,
     usable = max(float(np.max(np.abs(diffs.physical))) - 2.0 * k_half, k_half)
     anchors = rng.uniform(-usable, usable, size=(n_anchors, pset.dim))
     anchors = np.vstack([v[None, :], anchors])
-    big_m = int(max(_count_in_box(diffs, a, 2.0 * k_half) for a in anchors))
+    big_m = int(_count_in_boxes(diffs, anchors, 2.0 * k_half).max())
     bound = 2 * m * big_m
 
     pos = pset.positions_1d() if pset.dim == 1 else None

@@ -11,6 +11,7 @@ also feeds the pair histogram behind the eta counts (``autocorr``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -19,6 +20,7 @@ import numpy as np
 from . import kernels
 from .errors import (
     DuplicatePoint,
+    RegionTooLarge,
     RegionTooSmall,
     UndefinedStatistic,
 )
@@ -263,6 +265,18 @@ def _pairs_within(points, anchors, r):
     return np.concatenate(ii), np.concatenate(jj)
 
 
+def _lattice_keys(index: np.ndarray):
+    """The int64 key ``(index - index.min(0)) @ stride`` of each index row,
+    the strides and the column spans (see ``difference_set``)."""
+    lo = index.min(axis=0) if len(index) else np.zeros(index.shape[1], dtype=np.int64)
+    span = (index.max(axis=0) if len(index) else lo) - lo
+    radix = [2 * int(s) + 1 for s in span]
+    if math.prod(radix) >= 2**62:
+        raise RegionTooLarge(f"index spans {span.tolist()} overflow the int64 difference key")
+    stride = np.array([math.prod(radix[c + 1:]) for c in range(len(radix))], dtype=np.int64)
+    return (index - lo) @ stride, stride, span
+
+
 def difference_set(pset: IndexedPointSet, radius: float) -> IndexedPointSet:
     """All pairwise differences with Euclidean norm <= radius.
 
@@ -270,17 +284,28 @@ def difference_set(pset: IndexedPointSet, radius: float) -> IndexedPointSet:
     reported difference type is supported by a fully observed neighborhood.
     Scheme-backed input yields a scheme-backed difference patch (index and
     star columns are differenced too) with one row per distinct index
-    difference, deduplicated in lexicographic index order; raw input keeps the
-    first difference in pair-scan order of each QUANT cell.  Either way the
-    rows are then sorted by physical coordinates.
+    difference.  Each lattice point gets one int64 key, ``index @ stride``
+    shifted by the key of the column minima.  The strides are the mixed
+    radix of ``2 * span + 1``, where ``span`` is the patch's range of each
+    index column, with the last column varying fastest.  The key is linear,
+    so a pair's difference has key ``key[j] - key[i]``; the distinct
+    difference keys come from one sort and decode digit by digit back to
+    index rows, in lexicographic index order.  A patch whose radix product
+    reaches 2**62 raises RegionTooLarge, since its difference keys could
+    overflow int64.  Raw input keeps the first difference in pair-scan
+    order of each QUANT cell.  Either way the rows are then sorted by
+    physical coordinates.
     """
     r = float(radius)
     core = pset.region.shrink(r)  # raises RegionTooSmall
     out_region = Box.centered(r, pset.dim)
     ii, jj = _pairs_within(pset.physical, np.flatnonzero(core.contains(pset.physical)), r)
     if pset.is_scheme_backed:
-        didx = pset.index[jj] - pset.index[ii]
-        didx = didx[_first_rows(didx)[0]]
+        key, stride, span = _lattice_keys(pset.index)
+        dkey = np.sort(key[jj] - key[ii])
+        new = np.ones(len(dkey), dtype=bool)
+        new[1:] = dkey[1:] != dkey[:-1]
+        didx = (dkey[new, None] + span @ stride) // stride % (2 * span + 1) - span
         phys, star = np.split(didx @ pset.scheme.basis.T, [pset.scheme.d], axis=1)
         return IndexedPointSet(phys, out_region, didx, star, pset.scheme)
     diffs = pset.physical[jj] - pset.physical[ii]

@@ -393,6 +393,53 @@ class TestConfigErrors:
                "params": {**params, key: value}}
         assert f"config error: params.{key} must be" in self.run(tmp_path, capsys, cfg)
 
+    @pytest.mark.parametrize("params,bad", [
+        (params, bad)
+        for params in [{"op": "difference_set", "radius": 5.0}, {"op": "m1_cover", "radius": 5.0},
+                       {"op": "flc_clusters", "radius": 5.0},
+                       {"op": "repetition_set", "radius": 5.0},
+                       {"op": "weak_ud", "radius": 10.0, "k_half": 2.0}]
+        for bad in [("radius", "x"), ("radius", -1), ("radius", 0), ("radius", float("nan")),
+                    ("k_half", "x"), ("k_half", 0), ("k_half", float("inf")),
+                    ("n_anchors", 0), ("n_anchors", "x"), ("n_anchors", 2.5)]
+        if bad[0] == "radius" or params["op"] == "weak_ud"])
+    def test_analyze_param_checks(self, tmp_path, capsys, params, bad):
+        key, value = bad
+        cfg = {"operation": "analyze", "scheme": {"name": "fibonacci"}, "seed": 1,
+               "region": {"lo": [0], "hi": [60]}, "params": {**params, key: value}}
+        assert f"config error: params.{key} must be" in self.run(tmp_path, capsys, cfg)
+
+    @pytest.mark.parametrize("operation", ["autocorr", "almost_periods"])
+    @pytest.mark.parametrize("radius", ["x", -5, 0])
+    def test_eta_radius_checks(self, tmp_path, capsys, operation, radius):
+        cfg = {"operation": operation, "scheme": {"name": "fibonacci"},
+               "region": {"lo": [-10], "hi": [300]},
+               "boxes": {"sizes": [100, 200], "anchored": True}, "params": {"radius": radius}}
+        assert "config error: params.radius must be" in self.run(tmp_path, capsys, cfg)
+
+    def test_weak_ud_k_half_below_half_the_radius(self, tmp_path, capsys):
+        cfg = {"operation": "analyze", "scheme": {"name": "fibonacci"}, "seed": 1,
+               "region": {"lo": [0], "hi": [60]},
+               "params": {"op": "weak_ud", "radius": 10, "k_half": 5}}
+        assert "params.k_half must be below params.radius / 2" in self.run(tmp_path, capsys, cfg)
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_pairs", "x"), ("n_pairs", -2), ("n_pairs", 0), ("n_pairs", True),
+        ("cover_radius", "x"), ("cover_radius", -1), ("cover_radius", float("inf")),
+        ("pair_range", [5, 1]), ("pair_range", "ab"), ("pair_range", [0]),
+        ("pair_range", [0, float("nan")]), ("pair_range", [True, 2])])
+    def test_meyer_cert_param_checks(self, tmp_path, capsys, key, value):
+        cfg = {"operation": "meyer_cert", "scheme": {"name": "fibonacci"}, "seed": 1,
+               "region": {"lo": [-450], "hi": [450]},
+               "params": {"n_pairs": 1, "pair_range": [0.0, 10.0], key: value}}
+        assert f"config error: params.{key} must be" in self.run(tmp_path, capsys, cfg)
+
+    def test_meyer_cert_pair_range_without_points(self, tmp_path, capsys):
+        cfg = {"operation": "meyer_cert", "scheme": {"name": "fibonacci"}, "seed": 1,
+               "region": {"lo": [-450], "hi": [450]},
+               "params": {"n_pairs": 1, "pair_range": [1000, 2000]}}
+        assert "no patch point falls in params.pair_range" in self.run(tmp_path, capsys, cfg)
+
     def test_points_region_rejected(self, tmp_path, capsys):
         path = tmp_path / "pts.csv"
         path.write_text("x\n0.0\n1.5\n3.0\n")
@@ -414,7 +461,19 @@ FUZZ_BASES = [
      "region": {"lo": [0], "hi": [40]}, "params": {"op": "difference_set", "radius": 5.0}},
     {"operation": "analyze", "scheme": {"name": "silver"},
      "params": {"op": "dual_candidates", "k_max": 1.0}},
+    {"operation": "analyze", "scheme": {"name": "fibonacci"}, "seed": 3,
+     "region": {"lo": [0], "hi": [60]},
+     "params": {"op": "weak_ud", "radius": 10.0, "k_half": 2.0, "n_anchors": 5}},
+    {"operation": "analyze", "scheme": {"name": "fibonacci"},
+     "region": {"lo": [0], "hi": [60]}, "params": {"op": "m1_cover", "radius": 5.0}},
+    {"operation": "meyer_cert", "scheme": {"name": "fibonacci"}, "seed": 3,
+     "region": {"lo": [-120], "hi": [120]},
+     "params": {"n_pairs": 1, "cover_radius": 10.0, "pair_range": [0.0, 5.0]}},
 ]
+
+# the checked params a "param" mutation may set, and the values it gives them
+FUZZ_PARAM_KEYS = ("radius", "k_half", "n_anchors", "n_pairs", "cover_radius", "pair_range")
+FUZZ_PARAM_VALUES = ["x", -1, 0, 2.5, 8, float("nan"), True, None, [5, 1], [1000, 2000], [0]]
 
 FUZZ_WINDOWS = [
     None,
@@ -437,9 +496,9 @@ def _key_paths(obj, prefix=()):
 def mutated_configs(draw):
     """A small valid config with 1-3 mutations, and the verb it was written for."""
     cfg = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
-    verb = cfg["operation"]
+    verb = cfg["operation"].replace("_", "-")
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["drop", "swap", "dims", "window"]))
+        kind = draw(st.sampled_from(["drop", "swap", "dims", "window", "param"]))
         region = cfg.get("region")
         if kind == "drop":
             path = draw(st.sampled_from(list(_key_paths(cfg))))
@@ -454,10 +513,13 @@ def mutated_configs(draw):
                              "hi": [2.0] * draw(st.integers(1, 3))}
         elif kind == "window":
             cfg["window"] = copy.deepcopy(draw(st.sampled_from(FUZZ_WINDOWS)))
+        elif kind == "param" and "params" in cfg:
+            key = draw(st.sampled_from(FUZZ_PARAM_KEYS))
+            cfg["params"][key] = draw(st.sampled_from(FUZZ_PARAM_VALUES))
     return verb, cfg
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(mutated_configs())
 def test_config_fuzz_exits_cleanly(case):
     verb, cfg = case

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import aperiodic as ap
 from aperiodic.errors import ChainFailure, NotInL
 from aperiodic.meyer import covering_half_width
-from aperiodic.pointset import Box, IndexedPointSet
+from aperiodic.pointset import MATCH_TOL, Box, IndexedPointSet
 
 
 def integer_patch(lo=-110, hi=110):
@@ -150,3 +152,170 @@ class TestM1ImpliesM2:
         assert cover.stable
         diffs = ap.difference_set(patch, 40.0)
         assert ap.packing_radius(diffs) > 0
+
+
+# -- the per-difference and per-anchor loops the array paths replaced ----------
+
+def _old_nearest_point(pset, sorted_pos, target):
+    if pset.dim == 1:
+        t = float(target[0])
+        j = int(np.searchsorted(sorted_pos, t))
+        best, best_d = None, np.inf
+        for cand in (j - 1, j, j + 1):
+            if 0 <= cand < len(sorted_pos):
+                d = abs(sorted_pos[cand] - t)
+                if d < best_d - 1e-12:
+                    best, best_d = cand, d
+        return best
+    d2 = np.sum((pset.physical - target) ** 2, axis=1)
+    return int(np.argmin(d2))
+
+
+def _old_m1_cover(pset, radius):
+    diffs = ap.difference_set(pset, 2.0 * radius)
+    pos = pset.positions_1d() if pset.dim == 1 else None
+    small_keys, large_keys = set(), set()
+    translators = {}
+    for i in range(len(diffs)):
+        delta = diffs.physical[i]
+        j = _old_nearest_point(pset, pos, delta)
+        f_phys = delta - pset.physical[j]
+        if diffs.index is not None and pset.index is not None:
+            key = tuple(diffs.index[i] - pset.index[j])
+        else:
+            key = tuple(np.round(f_phys / MATCH_TOL).astype(np.int64))
+        large_keys.add(key)
+        if float(np.max(np.abs(delta))) <= radius + MATCH_TOL:
+            small_keys.add(key)
+        if key not in translators:
+            translators[key] = f_phys
+    keys = sorted(translators)
+    f_arr = np.array([translators[k] for k in keys])
+    idx_arr = (np.array(keys, dtype=np.int64)
+               if diffs.index is not None and pset.index is not None else None)
+    return f_arr, idx_arr, len(small_keys), len(large_keys)
+
+
+def _old_count_in_box(diffs, center, half):
+    center = np.asarray(center, dtype=np.float64)
+    if diffs.dim == 1:
+        pos = diffs.positions_1d()
+        lo = np.searchsorted(pos, center[0] - half - MATCH_TOL)
+        hi = np.searchsorted(pos, center[0] + half + MATCH_TOL, side="right")
+        return int(hi - lo)
+    box = Box(center - half, center + half)
+    return int(np.count_nonzero(diffs.contains_mask(box)))
+
+
+def _old_big_m(pset, scheme, x_index, y_index, n_anchors=200, seed=20240901):
+    """The M of ``stepping_certificate`` as the anchor loop computed it."""
+    k_half = 1.1 * covering_half_width(pset)
+    v = (scheme.physical_of([y_index]) - scheme.physical_of([x_index]))[0]
+    r_norm = float(np.max(np.abs(v))) + 2.0 * k_half
+    diffs = ap.difference_set(pset, max(3.0 * k_half, r_norm) * (np.sqrt(pset.dim)))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    usable = max(float(np.max(np.abs(diffs.physical))) - 2.0 * k_half, k_half)
+    anchors = rng.uniform(-usable, usable, size=(n_anchors, pset.dim))
+    anchors = np.vstack([v[None, :], anchors])
+    return int(max(_old_count_in_box(diffs, a, 2.0 * k_half) for a in anchors))
+
+
+def _z_subset(cells, dim):
+    """A scheme-backed subset of Z^dim: its differences often sit at exact
+    midpoints between two of its points."""
+    idx = np.array(sorted(set(cells)), dtype=np.int64).reshape(-1, dim)
+    return IndexedPointSet(idx.astype(np.float64), Box.make([-0.5] * dim, [40.5] * dim),
+                           index=idx, star=np.zeros((len(idx), 0)),
+                           scheme=ap.integer_crystal(dim))
+
+
+@st.composite
+def _cover_case(draw):
+    """A patch and a cover radius: a Fibonacci, silver or Ammann-Beenker patch,
+    a scheme-backed subset of Z or Z^2, or a raw cloud on a 0.1 grid or off it."""
+    kind = draw(st.sampled_from(["fibonacci", "silver", "ammann_beenker", "z", "z2", "grid",
+                                 "cloud"]))
+    if kind in ("fibonacci", "silver", "ammann_beenker"):
+        scheme, window = ap.named_scheme(kind)
+        dim = scheme.d
+        side = draw(st.floats(20.0, 120.0) if dim == 1 else st.floats(6.0, 14.0))
+        lo = [draw(st.floats(-100.0, 100.0)) for _ in range(dim)]
+        pset = ap.enumerate_cut(scheme, window, Box.make(lo, [v + side for v in lo]))
+    elif kind in ("z", "z2"):
+        dim = 1 if kind == "z" else 2
+        side = 40.0
+        cell = st.tuples(*[st.integers(0, 40)] * dim)
+        # sparse subsets keep a translator that only a tie produces
+        pset = _z_subset(draw(st.lists(cell, min_size=1, max_size=draw(st.sampled_from(
+            [4, 12, 60] if dim == 1 else [8, 150])))), dim)
+    else:
+        # on a 0.1 grid a difference halfway between two points is a tie only
+        # up to rounding, which the 1e-12 margin decides
+        side = 40.0
+        cells = draw(st.lists(st.integers(0, 400), min_size=1, unique=True,
+                              max_size=draw(st.sampled_from([4, 12, 60]))))
+        pts = np.array(cells, dtype=np.float64) * 0.1
+        if kind == "cloud":
+            pts = pts + draw(st.lists(st.floats(0.0, 0.09), min_size=len(pts), max_size=len(pts)))
+        pset = IndexedPointSet(pts[:, None], Box.make([0.0], [41.0]))
+    assume(len(pset) > 0)
+    return pset, draw(st.floats(0.2, side / 4 - 0.05))
+
+
+class TestArrayPathsMatchOldLoops:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_cover_case())
+    def test_m1_cover(self, case):
+        pset, radius = case
+        rep = ap.m1_cover(pset, radius)
+        f_arr, idx_arr, small, large = _old_m1_cover(pset, radius)
+        assert (rep.card_small, rep.card_large) == (small, large)
+        assert np.array_equal(rep.translators.ravel(), f_arr.ravel())
+        assert len(rep.translators) == len(f_arr)
+        assert (rep.translator_index is None) == (idx_arr is None)
+        if idx_arr is not None:
+            assert np.array_equal(rep.translator_index.ravel(), idx_arr.ravel())
+
+    @pytest.mark.parametrize("pset,radius", [
+        # 14 - 12 = (1 + 3) / 2 exactly: the tie goes to the smaller point 1
+        (_z_subset([(1,), (3,), (12,), (14,)], 1), 1.2),
+        # 0.9 - 0.3 rounds to 0.6000000000000001, nearer to 0.9 by 1e-16:
+        # inside the 1e-12 margin, so 0.3 keeps it
+        (IndexedPointSet(np.array([[0.3], [0.9]]), Box.make([-1.0], [2.0])), 0.31)])
+    def test_m1_cover_tie_rules(self, pset, radius):
+        rep = ap.m1_cover(pset, radius)
+        f_arr, _, small, large = _old_m1_cover(pset, radius)
+        assert (rep.card_small, rep.card_large) == (small, large) == (small, 3)
+        assert np.array_equal(rep.translators, f_arr)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_cover_case(), data=st.data())
+    def test_weak_ud_bound(self, case, data):
+        pset, radius = case
+        diffs = ap.difference_set(pset, 2.0 * radius)
+        assume(len(diffs) > 0)
+        half = data.draw(st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.01, radius))
+        # anchors on difference points and on box edges meet the MATCH_TOL widening
+        picks = data.draw(st.lists(st.integers(0, len(diffs) - 1), min_size=1, max_size=30))
+        edges = [half, -half, 2 * half, half + 5e-8, -half - 5e-8, 2 * half + 5e-8, half + 2e-7]
+        shifts = data.draw(st.lists(st.sampled_from([0.0, 0.3, *edges]),
+                                    min_size=len(picks), max_size=len(picks)))
+        anchors = diffs.physical[picks] + np.array(shifts)[:, None]
+        rep = ap.weak_ud_bound(diffs, half, anchors)
+        counts = [_old_count_in_box(diffs, a, half) for a in anchors]
+        counts2 = [_old_count_in_box(diffs, a, 2.0 * half) for a in anchors]
+        assert rep.counts.tolist() == counts
+        assert (rep.bound, rep.bound_doubled) == (max(counts), max(counts2))
+
+    @settings(max_examples=25, deadline=None)
+    @given(name=st.sampled_from(["fibonacci", "silver", "ammann_beenker"]), data=st.data())
+    def test_big_m(self, name, data):
+        scheme, window = ap.named_scheme(name)
+        half = 150.0 if scheme.d == 1 else 12.0
+        patch = ap.enumerate_cut(scheme, window, Box.centered(half, scheme.d))
+        near = np.flatnonzero(np.all(np.abs(patch.physical) <= (10.0 if scheme.d == 1 else 2.5),
+                                     axis=1))
+        i, j = data.draw(st.lists(st.sampled_from(near.tolist()), min_size=2, max_size=2))
+        cert = ap.stepping_certificate(patch, scheme, patch.index[i], patch.index[j],
+                                       n_anchors=50)
+        assert cert.big_m == _old_big_m(patch, scheme, patch.index[i], patch.index[j], 50)

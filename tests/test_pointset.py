@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import aperiodic as ap
 from aperiodic.errors import (
     DuplicatePoint,
+    RegionTooLarge,
     RegionTooSmall,
     UndefinedStatistic,
 )
@@ -84,9 +85,11 @@ def _assert_same_differences(got, want):
 
 @st.composite
 def _patch_case(draw):
-    """A random sub-region of the Fibonacci line or the Ammann-Beenker plane and a radius."""
-    name = draw(st.sampled_from(["fib", "ab"]))
-    dim = 1 if name == "fib" else 2
+    """A random sub-region of a shipped scheme's physical space (Fibonacci, silver
+    mean, Ammann-Beenker, Z or Z^2) and a radius."""
+    name = draw(st.sampled_from(["fibonacci", "silver", "ammann_beenker", "crystal_z",
+                                 "crystal_z2"]))
+    dim = 2 if name in ("ammann_beenker", "crystal_z2") else 1
     side = draw(st.floats(1.0, 40.0 if dim == 1 else 12.0))
     lo = [draw(st.floats(-100.0, 100.0)) for _ in range(dim)]
     radius = draw(st.floats(0.3, side / 2 - 0.1))
@@ -153,11 +156,28 @@ class TestDifferenceSet:
         recon = scheme.physical_of(diffs.index)[:, 0]
         assert np.allclose(np.sort(recon), diffs.positions_1d())
 
-    @settings(max_examples=40, deadline=None)
+    def test_index_span_too_large_for_the_key(self):
+        # radix product (2 * (2**31 - 1) + 1)**2 > 2**62
+        pts = IndexedPointSet(np.array([[0.0], [1.0], [2.0]]), Box.make([-10], [10]),
+                              index=[[0, 0], [2**31 - 1, 0], [0, 2**31 - 1]],
+                              star=np.zeros((3, 1)), scheme=ap.fibonacci_scheme())
+        with pytest.raises(RegionTooLarge):
+            ap.difference_set(pts, 5.0)
+
+    def test_index_span_just_below_the_guard_decodes(self):
+        # radix product (2**31 - 1)**2 = 2**62 - 2**32 + 1
+        big = 2**30 - 1
+        pts = IndexedPointSet(np.array([[0.0], [1.0], [2.0]]), Box.make([-10], [10]),
+                              index=[[0, 0], [big, 0], [0, big]],
+                              star=np.zeros((3, 1)), scheme=ap.fibonacci_scheme())
+        _assert_same_differences(ap.difference_set(pts, 5.0), _difference_oracle(pts, 5.0))
+        assert {tuple(r) for r in ap.difference_set(pts, 5.0).index} >= {(big, -big), (-big, big)}
+
+    @settings(max_examples=60, deadline=None)
     @given(case=_patch_case())
-    def test_oracle_scheme_patches(self, fib, ab, case):
+    def test_oracle_scheme_patches(self, case):
         name, region, radius = case
-        scheme, window = fib if name == "fib" else ab
+        scheme, window = ap.named_scheme(name)
         patch = ap.enumerate_cut(scheme, window, region)
         _assert_same_differences(ap.difference_set(patch, radius),
                                  _difference_oracle(patch, radius))
@@ -243,9 +263,9 @@ def _assert_same_clusters(pset, radius):
 class TestFlcOracle:
     @settings(max_examples=40, deadline=None)
     @given(case=_patch_case())
-    def test_scheme_patches(self, fib, ab, case):
+    def test_scheme_patches(self, case):
         name, region, radius = case
-        scheme, window = fib if name == "fib" else ab
+        scheme, window = ap.named_scheme(name)
         _assert_same_clusters(ap.enumerate_cut(scheme, window, region), radius)
 
     @settings(max_examples=60, deadline=None)
