@@ -156,15 +156,21 @@ def _finite(x) -> bool:
 
 _POSITIVE = ((int, float), lambda x: 0 < x < math.inf, "a finite number > 0")
 _COUNT = ((int,), lambda x: x >= 1, "an integer >= 1")
+_NUMBERS = ((list,), lambda x: all(map(_finite, x)), "a list of finite numbers")
 # what _checked accepts for each key: types, test, and the words for it
 _RULES = {
     "radius": _POSITIVE,
     "cover_radius": _POSITIVE,
     "k_half": _POSITIVE,
+    "k_max": _POSITIVE,
+    "k_internal_max": _POSITIVE,
+    "scan_radius": _POSITIVE,
     "band": ((int, float), lambda x: 0 <= x < math.inf, "a finite number >= 0"),
     "samples": _COUNT,
     "n_pairs": _COUNT,
     "n_anchors": _COUNT,
+    "eps": _NUMBERS,
+    "eps_fracs": _NUMBERS,
     "pair_range": ((list, tuple), lambda x: len(x) == 2 and all(map(_finite, x)) and x[0] <= x[1],
                    "two finite numbers lo <= hi"),
 }
@@ -214,7 +220,8 @@ def _h_analyze(cfg, out, warnings):
     if sub == "model_density":
         return {"model_density": model_density(scheme, window)}
     if sub == "dual_candidates":
-        cands = dual_candidates(scheme, _param(params, "k_max"), params.get("k_internal_max"))
+        cands = dual_candidates(scheme, _checked(params, "k_max"),
+                                _checked(params, "k_internal_max", None))
         return {"count": len(cands.k), "k": cands.k.tolist(),
                 "k_internal": cands.k_internal.tolist()}
     if sub == "difference_set":
@@ -236,7 +243,7 @@ def _h_analyze(cfg, out, warnings):
                                  _param(params, "anchors"))
         return {"freqs": rep.freqs.tolist(), "spread": rep.spread}
     if sub == "period_candidates":
-        rep = ps.period_candidates(pset, params.get("scan_radius"))
+        rep = ps.period_candidates(pset, _checked(params, "scan_radius", None))
         return {"periods": rep.periods.tolist(), "rank": rep.lattice_rank}
     if sub == "m1_cover":
         rep = my.m1_cover(pset, _checked(params, "radius"))
@@ -269,15 +276,16 @@ def _h_autocorr(cfg, out, warnings):
 
 def _h_almost_periods(cfg, out, warnings):
     params = cfg.get("params", {})
+    eps_list, fracs = _checked(params, "eps", []), _checked(params, "eps_fracs", [])
+    scan_radius = _checked(params, "scan_radius", None)
     scheme, window, pset, warns = _inputs(cfg)
     warnings.extend(warns)
     boxes = build_boxes(cfg, pset.dim)
     table = ac.eta_table(pset, _checked(params, "radius"), boxes)
-    eps_list = params.get("eps", [])
-    eps_list = eps_list + [f * 2.0 * table.eta0 for f in params.get("eps_fracs", [])]
+    eps_list = eps_list + [f * 2.0 * table.eta0 for f in fracs]
     results = {"eta0": table.eta0, "levels": []}
     for i, eps in enumerate(eps_list):
-        periods = ac.almost_periods(table, eps, params.get("scan_radius"))
+        periods = ac.almost_periods(table, eps, scan_radius)
         io.almost_periods_to_csv(periods, out / f"almost_periods_{i}.csv")
         plots.gap_chart(periods.members[:, 0] if pset.dim == 1 else
                         np.linalg.norm(periods.members, axis=1),
@@ -293,9 +301,9 @@ def _h_diffract(cfg, out, warnings):
     scheme, window, pset, warns = _inputs(cfg)
     warnings.extend(warns)
     boxes = build_boxes(cfg, pset.dim)
-    table = sp.diffraction_table(pset, scheme, _param(params, "k_max"),
+    table = sp.diffraction_table(pset, scheme, _checked(params, "k_max"),
                                  params.get("n_controls", 10), cfg["seed"], boxes,
-                                 params.get("k_internal_max"))
+                                 _checked(params, "k_internal_max", None))
     io.peak_table_to_csv(table, out / "peaks.csv")
     (out / "peaks.json").write_text(io.json_dumps_stable(table.to_json()) + "\n")
     plots.stem_plot(

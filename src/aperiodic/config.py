@@ -94,7 +94,7 @@ CONFIG_SCHEMA = {
                 "anchored": {"type": "boolean"},
             },
         },
-        "params": {"type": "object"},
+        "params": {"type": "object", "properties": {"op": {"type": "string"}}},
         "seed": {"type": "integer"},
         "require": {
             "type": "array",

@@ -9,6 +9,8 @@ A stepping-stone certificate walks a pair (x, y) back to the origin in steps
 from a compact covering box K, picks lattice points near every rung, and
 bounds the leftover translation by 2*m*M, where m is the largest word norm
 of a short difference and M the largest number of differences in any 2K box.
+The rung points are chosen by ``_nearest_points`` in one pass over all rungs,
+the same nearest-point rule ``m1_cover`` uses.
 A validated certificate exhibits y - x inside (lattice point) + F(2mM) with
 every membership checked on integer indices.
 """
@@ -23,6 +25,7 @@ from .errors import ChainFailure, NotInL, NotSchemeBacked, RegionTooSmall
 from .pointset import (
     MATCH_TOL,
     IndexedPointSet,
+    _by_chunks,
     _first_rows,
     _grid_covering_radius,
     difference_set,
@@ -95,30 +98,6 @@ def _nearest_points(pset, targets) -> np.ndarray:
         return best
     return _by_chunks(lambda t: np.argmin(np.sum((pset.physical - t[:, None]) ** 2, axis=2),
                                           axis=1), targets, len(pset))
-
-
-def _by_chunks(fn, rows, n_points) -> np.ndarray:
-    """``fn`` on chunks of ``rows`` that each meet ``n_points`` points in an
-    array of about 2**20 entries, concatenated."""
-    step = max(1, 2**20 // max(n_points, 1))
-    return np.concatenate([np.empty(0, dtype=np.int64)]
-                          + [fn(rows[s:s + step]) for s in range(0, len(rows), step)])
-
-
-def _nearest_point(pset, sorted_pos, target):
-    """Index of the patch point nearest to target; ties go to the smaller point."""
-    if pset.dim == 1:
-        t = float(target[0])
-        j = int(np.searchsorted(sorted_pos, t))
-        best, best_d = None, np.inf
-        for cand in (j - 1, j, j + 1):
-            if 0 <= cand < len(sorted_pos):
-                d = abs(sorted_pos[cand] - t)
-                if d < best_d - 1e-12:
-                    best, best_d = cand, d
-        return best
-    d2 = np.sum((pset.physical - target) ** 2, axis=1)
-    return int(np.argmin(d2))
 
 
 @dataclass
@@ -244,48 +223,46 @@ def stepping_certificate(pset: IndexedPointSet, scheme: LatticeScheme,
     big_m = int(_count_in_boxes(diffs, anchors, 2.0 * k_half).max())
     bound = 2 * m * big_m
 
-    pos = pset.positions_1d() if pset.dim == 1 else None
-    steps = []
-    p_prev = q_prev = None
-    all_checks = {"rung_in_2k": True, "p_step_norm": True, "q_step_norm": True}
-    v_set_indices = set()
-    for i in range(ell + 1):
-        x_i = x - i * step_vec
-        y_i = x_i + v
-        if i == 0:
-            p_idx, q_idx = x_index, y_index
-        elif i == ell:
-            p_idx = np.zeros(scheme.k, dtype=np.int64)
-            q_idx = _select_near(pset, pos, y_i, k_half, i)
-        else:
-            p_idx = _select_near(pset, pos, x_i, k_half, i)
-            q_idx = _select_near(pset, pos, y_i, k_half, i)
-        p_phys = scheme.physical_of([p_idx])[0]
-        q_phys = scheme.physical_of([q_idx])[0]
-        if np.max(np.abs(p_phys - x_i)) > k_half + MATCH_TOL:
-            raise ChainFailure(i, f"no point within K of rung {i}")
-        if np.max(np.abs(q_phys - y_i)) > k_half + MATCH_TOL:
-            raise ChainFailure(i, f"no point within K of parallel rung {i}")
-        if np.max(np.abs(q_phys - p_phys - v)) > 2.0 * k_half + MATCH_TOL:
-            all_checks["rung_in_2k"] = False
-        if p_prev is not None:
-            if int(np.abs(p_idx - p_prev).sum()) > m:
-                all_checks["p_step_norm"] = False
-            if int(np.abs(q_idx - q_prev).sum()) > m:
-                all_checks["q_step_norm"] = False
-        v_set_indices.add(tuple(q_idx - p_idx))
-        steps.append({
-            "k": (step_vec if i > 0 else np.zeros_like(step_vec)).tolist(),
-            "p": [int(t) for t in p_idx],
-            "q": [int(t) for t in q_idx],
-        })
-        p_prev, q_prev = p_idx, q_idx
+    # rung i sits at x - i * step_vec and its parallel rung at that plus v; rung 0
+    # keeps (x, y), the last rung's p is the origin, every other p and q is the
+    # nearest patch point
+    rungs = np.arange(ell + 1)
+    xs = x - rungs[:, None] * step_vec
+    ys = xs + v
+    targets = np.concatenate([xs[1:ell], ys[1:]])
+    near = _nearest_points(pset, targets)
+    p = np.concatenate([x_index[None], pset.index[near[:ell - 1]],
+                        np.zeros((1, scheme.k), dtype=np.int64)])
+    q = np.concatenate([y_index[None], pset.index[near[ell - 1:]]])
+    p_phys, q_phys = scheme.physical_of(p), scheme.physical_of(q)
 
-    q_last = np.asarray(steps[-1]["q"], dtype=np.int64)
-    f_index = v_index - q_last
+    # per rung, in the order a walk along the chain meets them: p selected,
+    # q selected, p checked, q checked; the first miss fails the chain
+    lim = k_half + MATCH_TOL
+    selected_far = np.max(np.abs(pset.physical[near] - targets), axis=1) > lim
+    far = np.zeros((ell + 1, 4), dtype=bool)
+    far[1:ell, 0], far[1:, 1] = selected_far[:ell - 1], selected_far[ell - 1:]
+    far[:, 2] = np.max(np.abs(p_phys - xs), axis=1) > lim
+    far[:, 3] = np.max(np.abs(q_phys - ys), axis=1) > lim
+    if far.any():
+        i, miss = divmod(int(np.argmax(far)), 4)
+        raise ChainFailure(i, (f"no patch point within {k_half} of {xs[i]}",
+                               f"no patch point within {k_half} of {ys[i]}",
+                               f"no point within K of rung {i}",
+                               f"no point within K of parallel rung {i}")[miss])
+
+    steps = [{"k": k, "p": a, "q": b} for k, a, b in
+             zip(np.where(rungs[:, None] > 0, step_vec, 0.0).tolist(), p.tolist(), q.tolist())]
+    f_index = v_index - q[-1]
     f_norm = int(np.abs(f_index).sum())
-    all_checks["v_card_le_M"] = len(v_set_indices) <= big_m
-    all_checks["f_norm_le_bound"] = f_norm <= bound
+    all_checks = {
+        "rung_in_2k": not np.any(np.max(np.abs(q_phys - p_phys - v), axis=1)
+                                 > 2.0 * k_half + MATCH_TOL),
+        "p_step_norm": not np.any(np.abs(np.diff(p, axis=0)).sum(axis=1) > m),
+        "q_step_norm": not np.any(np.abs(np.diff(q, axis=0)).sum(axis=1) > m),
+        "v_card_le_M": len(_first_rows(q - p)[0]) <= big_m,
+        "f_norm_le_bound": f_norm <= bound,
+    }
     valid = all(all_checks.values())
     return MeyerCertificate(tuple(int(t) for t in x_index),
                             tuple(int(t) for t in y_index),
@@ -293,10 +270,3 @@ def stepping_certificate(pset: IndexedPointSet, scheme: LatticeScheme,
                             tuple(int(t) for t in f_index), f_norm,
                             all_checks, valid)
 
-
-def _select_near(pset, sorted_pos, target, k_half, step):
-    """Nearest patch point to the rung; must land inside the covering box."""
-    j = _nearest_point(pset, sorted_pos, np.atleast_1d(target))
-    if j is None or np.max(np.abs(pset.physical[j] - target)) > k_half + MATCH_TOL:
-        raise ChainFailure(step, f"no patch point within {k_half} of {target}")
-    return pset.index[j]

@@ -425,18 +425,23 @@ def _coverage_gap(matches: np.ndarray, valid: Box) -> float:
 def _grid_covering_radius(points, box: Box, per_axis: int, norm_ord=None) -> float:
     """Covering radius of ``points`` over the ``per_axis``-per-axis probe grid on ``box``.
 
-    Distances are ``np.linalg.norm(..., ord=norm_ord)``, over chunks of points.
+    Distances are ``np.linalg.norm(..., ord=norm_ord)``, over chunks of probes.
     """
     probes = np.stack(np.meshgrid(
         *[np.linspace(box.lo[i], box.hi[i], per_axis) for i in range(box.dim)],
         indexing="ij"), axis=-1).reshape(-1, box.dim)
-    best = np.full(len(probes), np.inf)
-    chunk = max(1, (1 << 20) // len(probes))
-    for a in range(0, len(points), chunk):
-        dist = np.linalg.norm(probes[:, None, :] - points[None, a:a + chunk, :],
-                              ord=norm_ord, axis=2)
-        np.minimum(best, dist.min(axis=1), out=best)
+    best = _by_chunks(lambda c: np.linalg.norm(c[:, None, :] - points[None, :, :], ord=norm_ord,
+                                               axis=2).min(axis=1, initial=np.inf),
+                      probes, len(points))
     return float(best.max())
+
+
+def _by_chunks(fn, rows, n_points) -> np.ndarray:
+    """``fn`` on chunks of ``rows`` that each meet ``n_points`` points in an
+    array of about 2**20 entries, concatenated."""
+    step = max(1, 2**20 // max(n_points, 1))
+    return np.concatenate([np.empty(0, dtype=np.int64)]
+                          + [fn(rows[s:s + step]) for s in range(0, len(rows), step)])
 
 
 @dataclass

@@ -434,6 +434,31 @@ class TestConfigErrors:
                "params": {"n_pairs": 1, "pair_range": [0.0, 10.0], key: value}}
         assert f"config error: params.{key} must be" in self.run(tmp_path, capsys, cfg)
 
+    def test_params_op_not_a_string(self, tmp_path, capsys):
+        cfg = {"operation": "analyze", "scheme": {"name": "fibonacci"},
+               "region": {"lo": [0], "hi": [60]}, "params": {"op": [5, 1]}}
+        assert "is not of type 'string'" in self.run(tmp_path, capsys, cfg)
+
+    @pytest.mark.parametrize("operation,params,key,value", [
+        ("analyze", {"op": "dual_candidates", "k_max": 1.0}, "k_max", "x"),
+        ("analyze", {"op": "dual_candidates", "k_max": 1.0}, "k_max", None),
+        ("analyze", {"op": "dual_candidates", "k_max": 1.0}, "k_internal_max", -1),
+        ("diffract", {"k_max": 1.0}, "k_max", -1),
+        ("diffract", {"k_max": 1.0}, "k_max", float("inf")),
+        ("diffract", {"k_max": 1.0}, "k_internal_max", "y"),
+        ("analyze", {"op": "period_candidates"}, "scan_radius", "z"),
+        ("analyze", {"op": "period_candidates"}, "scan_radius", 0),
+        ("almost_periods", {"radius": 10.0}, "scan_radius", "z"),
+        ("almost_periods", {"radius": 10.0}, "eps_fracs", "ab"),
+        ("almost_periods", {"radius": 10.0}, "eps_fracs", [0.2, float("nan")]),
+        ("almost_periods", {"radius": 10.0}, "eps", [True]),
+        ("almost_periods", {"radius": 10.0}, "eps", None)])
+    def test_numeric_param_checks(self, tmp_path, capsys, operation, params, key, value):
+        cfg = {"operation": operation, "scheme": {"name": "fibonacci"}, "seed": 1,
+               "region": {"lo": [-10], "hi": [60]}, "boxes": {"sizes": [20, 40]},
+               "params": {**params, key: value}}
+        assert f"config error: params.{key} must be" in self.run(tmp_path, capsys, cfg)
+
     def test_meyer_cert_pair_range_without_points(self, tmp_path, capsys):
         cfg = {"operation": "meyer_cert", "scheme": {"name": "fibonacci"}, "seed": 1,
                "region": {"lo": [-450], "hi": [450]},
@@ -472,7 +497,8 @@ FUZZ_BASES = [
 ]
 
 # the checked params a "param" mutation may set, and the values it gives them
-FUZZ_PARAM_KEYS = ("radius", "k_half", "n_anchors", "n_pairs", "cover_radius", "pair_range")
+FUZZ_PARAM_KEYS = ("radius", "k_half", "n_anchors", "n_pairs", "cover_radius", "pair_range",
+                   "k_max", "k_internal_max", "scan_radius", "eps", "eps_fracs")
 FUZZ_PARAM_VALUES = ["x", -1, 0, 2.5, 8, float("nan"), True, None, [5, 1], [1000, 2000], [0]]
 
 FUZZ_WINDOWS = [

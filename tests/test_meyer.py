@@ -1,11 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import aperiodic as ap
-from aperiodic.errors import ChainFailure, NotInL
-from aperiodic.meyer import covering_half_width
+from aperiodic.errors import ChainFailure, NotInL, RegionTooSmall
+from aperiodic.meyer import MeyerCertificate, _count_in_boxes, covering_half_width
 from aperiodic.pointset import MATCH_TOL, Box, IndexedPointSet
 
 
@@ -154,7 +156,7 @@ class TestM1ImpliesM2:
         assert ap.packing_radius(diffs) > 0
 
 
-# -- the per-difference and per-anchor loops the array paths replaced ----------
+# -- the per-difference, per-anchor and per-rung loops the array paths replaced ----------
 
 def _old_nearest_point(pset, sorted_pos, target):
     if pset.dim == 1:
@@ -170,6 +172,106 @@ def _old_nearest_point(pset, sorted_pos, target):
     d2 = np.sum((pset.physical - target) ** 2, axis=1)
     return int(np.argmin(d2))
 
+
+
+def _old_select_near(pset, sorted_pos, target, k_half, step):
+    j = _old_nearest_point(pset, sorted_pos, np.atleast_1d(target))
+    if j is None or np.max(np.abs(pset.physical[j] - target)) > k_half + MATCH_TOL:
+        raise ChainFailure(step, f"no patch point within {k_half} of {target}")
+    return pset.index[j]
+
+
+def _old_stepping_certificate(pset, scheme, x_index, y_index, n_anchors=200,
+                              seed=20240901, k_half=None, shared_diffs=None):
+    """``stepping_certificate`` as the per-rung loop computed it."""
+    x_index = np.asarray(x_index, dtype=np.int64)
+    y_index = np.asarray(y_index, dtype=np.int64)
+    if not (pset.index == 0).all(axis=1).any():
+        raise ChainFailure(-1, "the patch must contain the origin")
+    if k_half is None:
+        k_half = 1.1 * covering_half_width(pset)
+    x = scheme.physical_of([x_index])[0]
+    y = scheme.physical_of([y_index])[0]
+    v = y - x
+    v_index = y_index - x_index
+    ell = max(1, int(np.ceil(np.max(np.abs(x)) / k_half)))
+    step_vec = x / ell
+    r_norm = float(np.max(np.abs(v))) + 2.0 * k_half
+    diff_radius = max(3.0 * k_half, r_norm) * (np.sqrt(pset.dim))
+    diffs = shared_diffs
+    if diffs is not None and float(np.min(diffs.region.hi)) < diff_radius:
+        diffs = None
+    if diffs is None:
+        try:
+            diffs = ap.difference_set(pset, diff_radius)
+        except RegionTooSmall as exc:
+            raise ChainFailure(-1, f"patch too small for difference radius: {exc}") from exc
+    norms_l1 = np.abs(diffs.index).sum(axis=1)
+    in_3k = np.all(np.abs(diffs.physical) <= 3.0 * k_half + MATCH_TOL, axis=1)
+    m = int(norms_l1[in_3k].max())
+    rng = np.random.Generator(np.random.PCG64(seed))
+    usable = max(float(np.max(np.abs(diffs.physical))) - 2.0 * k_half, k_half)
+    anchors = rng.uniform(-usable, usable, size=(n_anchors, pset.dim))
+    anchors = np.vstack([v[None, :], anchors])
+    big_m = int(_count_in_boxes(diffs, anchors, 2.0 * k_half).max())
+    bound = 2 * m * big_m
+
+    pos = pset.positions_1d() if pset.dim == 1 else None
+    steps = []
+    p_prev = q_prev = None
+    all_checks = {"rung_in_2k": True, "p_step_norm": True, "q_step_norm": True}
+    v_set_indices = set()
+    for i in range(ell + 1):
+        x_i = x - i * step_vec
+        y_i = x_i + v
+        if i == 0:
+            p_idx, q_idx = x_index, y_index
+        elif i == ell:
+            p_idx = np.zeros(scheme.k, dtype=np.int64)
+            q_idx = _old_select_near(pset, pos, y_i, k_half, i)
+        else:
+            p_idx = _old_select_near(pset, pos, x_i, k_half, i)
+            q_idx = _old_select_near(pset, pos, y_i, k_half, i)
+        p_phys = scheme.physical_of([p_idx])[0]
+        q_phys = scheme.physical_of([q_idx])[0]
+        if np.max(np.abs(p_phys - x_i)) > k_half + MATCH_TOL:
+            raise ChainFailure(i, f"no point within K of rung {i}")
+        if np.max(np.abs(q_phys - y_i)) > k_half + MATCH_TOL:
+            raise ChainFailure(i, f"no point within K of parallel rung {i}")
+        if np.max(np.abs(q_phys - p_phys - v)) > 2.0 * k_half + MATCH_TOL:
+            all_checks["rung_in_2k"] = False
+        if p_prev is not None:
+            if int(np.abs(p_idx - p_prev).sum()) > m:
+                all_checks["p_step_norm"] = False
+            if int(np.abs(q_idx - q_prev).sum()) > m:
+                all_checks["q_step_norm"] = False
+        v_set_indices.add(tuple(q_idx - p_idx))
+        steps.append({
+            "k": (step_vec if i > 0 else np.zeros_like(step_vec)).tolist(),
+            "p": [int(t) for t in p_idx],
+            "q": [int(t) for t in q_idx],
+        })
+        p_prev, q_prev = p_idx, q_idx
+
+    q_last = np.asarray(steps[-1]["q"], dtype=np.int64)
+    f_index = v_index - q_last
+    f_norm = int(np.abs(f_index).sum())
+    all_checks["v_card_le_M"] = len(v_set_indices) <= big_m
+    all_checks["f_norm_le_bound"] = f_norm <= bound
+    valid = all(all_checks.values())
+    return MeyerCertificate(tuple(int(t) for t in x_index),
+                            tuple(int(t) for t in y_index),
+                            float(k_half), steps, m, big_m, bound,
+                            tuple(int(t) for t in f_index), f_norm,
+                            all_checks, valid)
+
+
+def _outcome(certify, pset, scheme, x_index, y_index, **kw):
+    """The certificate's JSON text, or the failing step and message."""
+    try:
+        return json.dumps(certify(pset, scheme, x_index, y_index, **kw).to_json())
+    except ChainFailure as exc:
+        return exc.step, str(exc)
 
 def _old_m1_cover(pset, radius):
     diffs = ap.difference_set(pset, 2.0 * radius)
@@ -219,6 +321,69 @@ def _old_big_m(pset, scheme, x_index, y_index, n_anchors=200, seed=20240901):
     anchors = np.vstack([v[None, :], anchors])
     return int(max(_old_count_in_box(diffs, a, 2.0 * k_half) for a in anchors))
 
+
+
+def _certify_both(pset, scheme, pairs, **kw):
+    """Outcomes of the array pass, each checked against the per-rung loop."""
+    outcomes = []
+    for i, j in pairs:
+        args = (pset, scheme, pset.index[i], pset.index[j])
+        new = _outcome(ap.stepping_certificate, *args, **kw)
+        assert new == _outcome(_old_stepping_certificate, *args, **kw)
+        outcomes.append(new)
+    return outcomes
+
+
+def _failed_steps(outcomes):
+    return [o[0] for o in outcomes if isinstance(o, tuple)]
+
+
+class TestSteppingCertificateMatchesRungLoop:
+    def test_fibonacci_shared_diffs(self, fib, cert_patch):
+        diffs = ap.difference_set(cert_patch, 520.0)
+        rng = np.random.Generator(np.random.PCG64(808))
+        pool = np.flatnonzero((cert_patch.physical[:, 0] >= 0)
+                              & (cert_patch.physical[:, 0] <= 500))
+        outcomes = _certify_both(cert_patch, fib[0], rng.choice(pool, size=(30, 2)),
+                                 shared_diffs=diffs)
+        assert not _failed_steps(outcomes)
+
+    @pytest.mark.parametrize("name,half", [("silver", 300.0), ("ammann_beenker", 12.0)])
+    def test_other_schemes(self, name, half):
+        scheme, window = ap.named_scheme(name)
+        patch = ap.enumerate_cut(scheme, window, Box.centered(half, scheme.d))
+        pool = np.flatnonzero(np.all(np.abs(patch.physical) <= half / 4 - 0.5, axis=1))
+        rng = np.random.Generator(np.random.PCG64(31))
+        pairs = rng.choice(pool, size=(10 if scheme.d == 1 else 2, 2))
+        assert not _failed_steps(_certify_both(patch, scheme, pairs))
+
+    def test_patch_too_small(self, fib):
+        patch = ap.enumerate_cut(*fib, Box.make([-20], [20]))
+        rng = np.random.Generator(np.random.PCG64(3))
+        steps = _failed_steps(_certify_both(patch, fib[0], rng.choice(len(patch), size=(31, 2))))
+        assert steps and set(steps) == {-1}
+
+    def test_rung_failures(self, fib):
+        # a covering box narrower than the patch's gaps breaks chains at their rungs
+        patch = ap.enumerate_cut(*fib, Box.make([-300], [300]))
+        pool = np.flatnonzero(np.abs(patch.physical[:, 0]) <= 60)
+        rng = np.random.Generator(np.random.PCG64(1))
+        steps = []
+        for k_half in np.linspace(0.2, 0.85, 14):
+            steps += _failed_steps(_certify_both(patch, fib[0], rng.choice(pool, size=(4, 2)),
+                                                 k_half=float(k_half)))
+        assert len(set(steps)) > 3 and min(steps) >= 1
+
+    def test_point_exactly_on_the_box_edge(self):
+        # the last parallel rung sits at 11 and its nearest point 12 is exactly
+        # k_half + MATCH_TOL away, which still counts as within the box
+        pts = np.array([[0.0], [1.0], [12.0]])
+        patch = IndexedPointSet(pts, Box.make([-60], [60]), index=pts.astype(np.int64),
+                                star=np.zeros((3, 0)), scheme=ap.integer_crystal(1))
+        k_half = 1.0 - MATCH_TOL
+        assert k_half + MATCH_TOL == 1.0
+        outcomes = _certify_both(patch, patch.scheme, [(1, 2)], k_half=k_half)
+        assert json.loads(outcomes[0])["steps"][-1]["q"] == [12]
 
 def _z_subset(cells, dim):
     """A scheme-backed subset of Z^dim: its differences often sit at exact
