@@ -167,6 +167,8 @@ _RULES = {
     "scan_radius": _POSITIVE,
     "band": ((int, float), lambda x: 0 <= x < math.inf, "a finite number >= 0"),
     "samples": _COUNT,
+    "n_controls": ((int,), lambda x: x >= 0, "an integer >= 0"),
+    "split_threshold": _POSITIVE,
     "n_pairs": _COUNT,
     "n_anchors": _COUNT,
     "eps": _NUMBERS,
@@ -188,6 +190,21 @@ def _checked(params, key, default=_REQUIRED):
     if isinstance(value, bool) or not isinstance(value, types) or not ok(value):
         raise ConfigError(f"params.{key} must be {what}, got {value!r}")
     return value
+
+
+def _vector(params, key, size, rows=False, default=_REQUIRED):
+    """``params.get(key, default)`` as a list of ``size`` finite numbers (a bare
+    number counts as a list of one) or, with ``rows``, as a list of such lists
+    (a single list counts as one row); else a config error.  Without a default
+    the key is required."""
+    value = _param(params, key) if default is _REQUIRED else params.get(key, default)
+    one_row = not (rows and isinstance(value, list) and value
+                   and all(isinstance(r, list) for r in value))
+    out = [r if isinstance(r, list) else [r] for r in ([value] if one_row else value)]
+    if not all(len(r) == size and all(map(_finite, r)) for r in out):
+        raise ConfigError(f"params.{key} must be {'rows' if rows else 'a list'} of {size} "
+                          f"finite numbers, got {value!r}")
+    return out if rows else out[0]
 
 
 # -- handlers ---------------------------------------------------------------
@@ -239,8 +256,8 @@ def _h_analyze(cfg, out, warnings):
         return {"match_count": len(rep.matches), "max_gap": rep.max_gap}
     if sub == "patch_frequency":
         boxes = build_boxes(cfg, pset.dim)
-        rep = ps.patch_frequency(pset, _param(params, "offsets"), boxes,
-                                 _param(params, "anchors"))
+        rep = ps.patch_frequency(pset, _vector(params, "offsets", pset.dim, rows=True), boxes,
+                                 _vector(params, "anchors", pset.dim, rows=True))
         return {"freqs": rep.freqs.tolist(), "spread": rep.spread}
     if sub == "period_candidates":
         rep = ps.period_candidates(pset, _checked(params, "scan_radius", None))
@@ -302,7 +319,7 @@ def _h_diffract(cfg, out, warnings):
     warnings.extend(warns)
     boxes = build_boxes(cfg, pset.dim)
     table = sp.diffraction_table(pset, scheme, _checked(params, "k_max"),
-                                 params.get("n_controls", 10), cfg["seed"], boxes,
+                                 _checked(params, "n_controls", 10), cfg["seed"], boxes,
                                  _checked(params, "k_internal_max", None))
     io.peak_table_to_csv(table, out / "peaks.csv")
     (out / "peaks.json").write_text(io.json_dumps_stable(table.to_json()) + "\n")
@@ -320,13 +337,14 @@ def _h_torus(cfg, out, warnings):
     scheme, window, _, _ = _inputs(cfg, need_points=False,
                                    need_window=sub in ("singularity", "separation"))
     if sub == "embed":
-        tp = tr.embed_translation(scheme, _param(params, "t"))
+        tp = tr.embed_translation(scheme, _vector(params, "t", scheme.d))
         return {"frac": tp.frac.tolist()}
     if sub == "beta":
-        tp = tr.beta_of_cut(scheme, _param(params, "x"), params.get("h", []))
+        tp = tr.beta_of_cut(scheme, _vector(params, "x", scheme.d),
+                            _vector(params, "h", scheme.m, default=[]))
         return {"frac": tp.frac.tolist()}
     if sub == "singularity":
-        tp = tr.torus_point_from_frac(scheme, _param(params, "frac"))
+        tp = tr.torus_point_from_frac(scheme, _vector(params, "frac", scheme.k))
         hits = tr.singularity_test(scheme, window, tp, _checked(params, "radius", 1000.0),
                                    _checked(params, "band", None))
         return {"singular": bool(hits), "hits": [list(h.index) for h in hits]}
@@ -341,7 +359,7 @@ def _h_torus(cfg, out, warnings):
 def _h_fiber(cfg, out, warnings):
     params = cfg.get("params", {})
     scheme, window, _, _ = _inputs(cfg, need_points=False)
-    tp = tr.torus_point_from_frac(scheme, _param(params, "frac"))
+    tp = tr.torus_point_from_frac(scheme, _vector(params, "frac", scheme.k))
     rep = tr.fiber_enumerate(scheme, window, tp, _checked(params, "radius", 100.0))
     if rep.multiple_orbits:
         warnings.append("more than one boundary orbit is hit; the two reported "
@@ -354,7 +372,7 @@ def _h_reconstruct(cfg, out, warnings):
     params = cfg.get("params", {})
     scheme, window, pset, warns = _inputs(cfg)
     warnings.extend(warns)
-    rep = tr.reconstruct_window(pset, params.get("split_threshold"), truth=window)
+    rep = tr.reconstruct_window(pset, _checked(params, "split_threshold", None), truth=window)
     if pset.star is not None and pset.star.shape[1] == 1:
         plots.interval_overlay(rep.estimate, window, out / "window.svg")
     results = {"n_points": rep.n_points, "contains_origin": rep.contains_origin,

@@ -9,6 +9,7 @@ lattice indices; physical and star coordinates are derived columns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -64,19 +65,14 @@ class LatticeScheme:
     def star_of(self, indices) -> np.ndarray:
         return self.lift(indices)[:, self.d:]
 
-    def lift_exact(self, index):
+    def star_exact(self, coords):
+        """Exact star of lattice coordinates (ints or Fractions), one QuadExact per row."""
         if not self.is_exact:
             raise ValueError("exact coordinates require quadratic mode")
-        out = []
-        for row in self.basis_exact:
-            acc = QuadExact(0, 0, self.radicand)
-            for entry, n in zip(row, index):
-                acc = acc + entry * int(n)
-            out.append(acc)
-        return tuple(out)
-
-    def star_exact(self, index):
-        return self.lift_exact(index)[self.d:]
+        coords = [n if isinstance(n, Fraction) else int(n) for n in coords]
+        return tuple(sum((entry * n for entry, n in zip(row, coords)),
+                         QuadExact(0, 0, self.radicand))
+                     for row in self.basis_exact[self.d:])
 
     def point(self, index) -> "LatticePoint":
         index = tuple(int(v) for v in index)
@@ -319,8 +315,7 @@ def _window_accept(scheme, window, index, star, pre_mask) -> np.ndarray:
     """
     accept, near = window.classify_array(star, BOUNDARY_BAND)
     for i in np.flatnonzero(near & pre_mask):
-        h = scheme.star_exact(index[i]) if scheme.is_exact else star[i]
-        accept[i] = window.accepts(h[0] if window.dim == 1 else h)
+        accept[i] = window.accepts(scheme.star_exact(index[i]) if scheme.is_exact else star[i])
     return accept
 
 

@@ -21,10 +21,9 @@ from .errors import (
     NotSchemeBacked,
     UnsupportedDimension,
 )
-from .exactmath import QuadExact
 from .pointset import MATCH_TOL, Box, IndexedPointSet, _agrees_on
 from .scheme import LatticeScheme, enumerate_cut, lattice_points
-from .window import ConvexPolygon, Interval, IntervalUnion, Region
+from .window import ConvexPolygon, Interval, IntervalUnion
 
 
 @dataclass(frozen=True)
@@ -57,13 +56,7 @@ class TorusPoint:
         """Exact internal offset, or None when not available."""
         if self.exact_frac is None or not self.scheme.is_exact:
             return None
-        out = []
-        for i in range(self.scheme.d, self.scheme.k):
-            acc = QuadExact(0, 0, self.scheme.radicand)
-            for j, f in enumerate(self.exact_frac):
-                acc = acc + self.scheme.basis_exact[i][j] * QuadExact(f, 0, self.scheme.radicand)
-            out.append(acc)
-        return tuple(out)
+        return self.scheme.star_exact(self.exact_frac)
 
     def to_json(self):
         return {"frac": self.frac.tolist()}
@@ -119,9 +112,11 @@ def singularity_test(scheme: LatticeScheme, window, torus_point: TorusPoint,
 
     Scans physical radius ``radius``; returns one BoundaryHit per offending
     lattice index (empty list == the fiber over this torus point is a
-    singleton).  In quadratic mode with exact window data, candidate hits
-    found by a float prefilter are confirmed by exact arithmetic; otherwise
-    membership within ``band`` (default: the scheme tolerance) decides.
+    singleton).  In quadratic mode with exact window data, a candidate hit
+    found by a float prefilter stands when the window's membership rule puts
+    the exact shifted star on the same rim piece (component and side);
+    otherwise membership within ``band`` (default: the scheme tolerance)
+    decides.  Both dimensions use the one rule of the window class.
     """
     if scheme.m == 0:
         return []
@@ -143,20 +138,9 @@ def singularity_test(scheme: LatticeScheme, window, torus_point: TorusPoint,
         hits = _generic_hits(scheme, window, h, radius, prefilter)
     if not exact_confirm:
         return hits
-    confirmed = []
-    for hit in hits:
-        star_ex = scheme.star_exact(hit.index)
-        if window.dim == 1:
-            target = star_ex[0] + h_exact[0]
-            comp = window.components[hit.component]
-            edge = comp.lo_exact if hit.side == "lo" else comp.hi_exact
-            if target == edge:
-                confirmed.append(hit)
-        else:
-            shifted = tuple(s + hh for s, hh in zip(star_ex, h_exact))
-            if window.classify(shifted) is Region.BOUNDARY:
-                confirmed.append(hit)
-    return confirmed
+    return [hit for hit in hits
+            if (0, hit.component, hit.side) in window.boundary_hits(
+                tuple(s + hh for s, hh in zip(scheme.star_exact(hit.index), h_exact)), 0.0)]
 
 
 def _strip_hits_1d(scheme, window, h, radius, band):
@@ -270,8 +254,7 @@ def fiber_enumerate(scheme: LatticeScheme, window, torus_point: TorusPoint,
     h = float(torus_point.internal_offset()[0])
     shifted_window = window.translate(-h)
     closed = IntervalUnion(
-        [Interval(c.lo, c.hi, True, True, c.lo_exact, c.hi_exact)
-         for c in shifted_window.components], shifted_window.tol)
+        [Interval(c.lo, c.hi) for c in shifted_window.components], shifted_window.tol)
     region = Box.make(np.atleast_1d(-radius) - np.atleast_1d(x),
                       np.atleast_1d(radius) - np.atleast_1d(x))
     patch = enumerate_cut(scheme, closed, region)

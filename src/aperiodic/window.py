@@ -5,11 +5,12 @@ and convex polygons (dimension 2).  Every window is the closure of its
 interior and carries an explicit boundary policy: per-endpoint closedness
 flags for intervals, a single ``boundary_included`` flag for polygons.
 
-Each class has one float membership rule, ``classify_array``: interior,
-boundary (within a tolerance of the rim) or exterior, for an (n, m) array of
-stars.  Cut enumeration, the singular-fibre scan and the scalar
-``classify``/``accepts``/``endpoint_hits`` all use it.  Endpoints may carry
-exact quadratic-field values; the scalar methods then decide the rim exactly.
+Each class has one membership rule, ``classify_array``: interior, boundary
+or exterior.  It decides an (n, m) array of float stars, on the rim within a
+tolerance, or one star of exact quadratic-field coordinates on a window with
+exact endpoints or vertices, on the rim only when exactly on it.  Cut
+enumeration, the singular-fibre scan and the scalar
+``classify``/``accepts``/``endpoint_hits`` all use it.
 """
 
 from __future__ import annotations
@@ -42,6 +43,12 @@ def _region_of(masks):
 
 def _exact_or_float(value):
     return value if isinstance(value, QuadExact) else None
+
+
+def _exact_star(stars):
+    """The coordinates of one exact star (a QuadExact or a tuple of them), else None."""
+    star = stars if isinstance(stars, tuple) else (stars,)
+    return star if star and all(isinstance(x, QuadExact) for x in star) else None
 
 
 @dataclass(frozen=True)
@@ -98,8 +105,17 @@ class IntervalUnion:
                    for c in self.components)
 
     # -- membership ------------------------------------------------------------
-    def _float_rule(self, stars, tol):
-        """Per component: masks of the stars near lo, near hi and strictly inside."""
+    def _rule(self, stars, tol):
+        """Per component: masks of the stars near lo, near hi and strictly inside.
+
+        One exact star (a QuadExact or a 1-tuple of one) on an exact window is
+        near an endpoint only when equal to it.
+        """
+        star = _exact_star(stars)
+        if star is not None and self.is_exact():
+            h, = star
+            return [(np.array([h == c.lo_exact]), np.array([h == c.hi_exact]),
+                     np.array([c.lo_exact < h < c.hi_exact])) for c in self.components]
         x = np.asarray(stars, dtype=np.float64).reshape(-1)
         t = self.tol if tol is None else tol
         return [(np.abs(x - c.lo) <= t, np.abs(x - c.hi) <= t, (c.lo < x) & (x < c.hi))
@@ -111,7 +127,7 @@ class IntervalUnion:
         The first component that is near or contains a star decides it.
         """
         interior = boundary = False
-        for near_lo, near_hi, inside in reversed(self._float_rule(stars, tol)):
+        for near_lo, near_hi, inside in reversed(self._rule(stars, tol)):
             near = near_lo | near_hi
             free = ~(near | inside)
             boundary = near | (boundary & free)
@@ -120,49 +136,27 @@ class IntervalUnion:
 
     def boundary_hits(self, stars, tol=None):
         """(row, component, 'lo'|'hi') per star within tol of an endpoint, in that order."""
-        rule = self._float_rule(stars, tol)
+        rule = self._rule(stars, tol)
         rows, cols = np.nonzero(np.stack([m for lo, hi, _ in rule for m in (lo, hi)], axis=1))
         return [(r, k // 2, ("lo", "hi")[k % 2]) for r, k in zip(rows.tolist(), cols.tolist())]
 
     def classify(self, h, tol=None) -> Region:
         """Interior / boundary / exterior, ignoring closedness flags."""
-        if isinstance(h, QuadExact) and self.is_exact():
-            for c in self.components:
-                if h == c.lo_exact or h == c.hi_exact:
-                    return Region.BOUNDARY
-                if c.lo_exact < h < c.hi_exact:
-                    return Region.INTERIOR
-            return Region.EXTERIOR
-        return _region_of(self.classify_array(float(h), tol))
+        return _region_of(self.classify_array(h, tol))
 
     def accepts(self, h, tol=None) -> bool:
-        """Membership honoring the per-endpoint closedness flags."""
-        if isinstance(h, QuadExact) and self.is_exact():
-            for c in self.components:
-                if c.lo_exact < h < c.hi_exact:
-                    return True
-                if h == c.lo_exact and c.lo_closed:
-                    return True
-                if h == c.hi_exact and c.hi_closed:
-                    return True
-            return False
-        interior, boundary = self.classify_array(float(h), tol)
-        if not boundary[0]:
-            return bool(interior[0])
-        _, i, side = self.boundary_hits(float(h), tol)[0]
-        return getattr(self.components[i], side + "_closed")
+        """Membership honoring the per-endpoint closedness flags.
+
+        A component claims the star when it is strictly inside and near
+        neither end, or near a closed end; the star is a member when any does.
+        """
+        return any(bool((inside & ~(near_lo | near_hi) | (near_lo & c.lo_closed)
+                         | (near_hi & c.hi_closed))[0])
+                   for c, (near_lo, near_hi, inside) in zip(self.components, self._rule(h, tol)))
 
     def endpoint_hits(self, h, tol=None):
-        """All (component index, 'lo'|'hi') endpoints equal to h."""
-        if isinstance(h, QuadExact) and self.is_exact():
-            hits = []
-            for i, c in enumerate(self.components):
-                if h == c.lo_exact:
-                    hits.append((i, "lo"))
-                if h == c.hi_exact:
-                    hits.append((i, "hi"))
-            return hits
-        return [(c, side) for _, c, side in self.boundary_hits(float(h), tol)]
+        """All (component index, 'lo'|'hi') endpoints near h."""
+        return [(c, side) for _, c, side in self.boundary_hits(h, tol)]
 
     def boundary_distance(self, h) -> float:
         """Signed distance to the boundary; negative strictly inside."""
@@ -302,7 +296,17 @@ class ConvexPolygon:
         """Masks (interior, boundary) of an (n, 2) star array; a star in neither is exterior.
 
         They compare the least signed distance to the edge lines with tol.
+        One exact star (a 2-tuple of QuadExact) on an exact polygon is
+        decided by the least exact edge cross product: > 0 interior, == 0
+        boundary.
         """
+        star = _exact_star(stars)
+        if star is not None and self.is_exact():
+            hx, hy = star
+            ring = zip(self.exact_vertices, self.exact_vertices[1:] + self.exact_vertices[:1])
+            least = min((bx - ax) * (hy - ay) - (by - ay) * (hx - ax)
+                        for (ax, ay), (bx, by) in ring)
+            return np.array([least > 0]), np.array([least == 0])
         stars = np.asarray(stars, dtype=np.float64).reshape(-1, 2)
         t = self.tol if tol is None else tol
         margin = np.full(len(stars), np.inf)
@@ -317,33 +321,11 @@ class ConvexPolygon:
         return [(r, 0, "edge") for r in np.flatnonzero(boundary).tolist()]
 
     def classify(self, h, tol=None) -> Region:
-        if (self.is_exact() and len(h) == 2
-                and all(isinstance(x, QuadExact) for x in h)):
-            return self._classify_exact(h)
-        return _region_of(self.classify_array([float(x) for x in h], tol))
-
-    def _classify_exact(self, h):
-        hx, hy = h
-        n = len(self.exact_vertices)
-        on_edge = False
-        for i in range(n):
-            ax, ay = self.exact_vertices[i]
-            bx, by = self.exact_vertices[(i + 1) % n]
-            cross = (bx - ax) * (hy - ay) - (by - ay) * (hx - ax)
-            s = cross.sign()
-            if s < 0:
-                return Region.EXTERIOR
-            if s == 0:
-                on_edge = True
-        return Region.BOUNDARY if on_edge else Region.INTERIOR
+        return _region_of(self.classify_array(h, tol))
 
     def accepts(self, h, tol=None) -> bool:
-        region = self.classify(h, tol)
-        if region is Region.INTERIOR:
-            return True
-        if region is Region.BOUNDARY:
-            return self.boundary_included
-        return False
+        interior, boundary = self.classify_array(h, tol)
+        return bool(interior[0] or (boundary[0] and self.boundary_included))
 
     def boundary_distance(self, h) -> float:
         p = np.asarray([float(x) for x in h], dtype=np.float64)

@@ -452,7 +452,19 @@ class TestConfigErrors:
         ("almost_periods", {"radius": 10.0}, "eps_fracs", "ab"),
         ("almost_periods", {"radius": 10.0}, "eps_fracs", [0.2, float("nan")]),
         ("almost_periods", {"radius": 10.0}, "eps", [True]),
-        ("almost_periods", {"radius": 10.0}, "eps", None)])
+        ("almost_periods", {"radius": 10.0}, "eps", None),
+        ("diffract", {"k_max": 1.0}, "n_controls", "x"),
+        ("diffract", {"k_max": 1.0}, "n_controls", -1),
+        ("reconstruct", {}, "split_threshold", "x"),
+        ("torus", {"op": "embed"}, "t", "x"),
+        ("torus", {"op": "embed"}, "t", [1, 2]),
+        ("torus", {"op": "beta", "x": [0.5]}, "h", "y"),
+        ("torus", {"op": "beta", "h": [0.1]}, "x", [float("nan")]),
+        ("torus", {"op": "singularity"}, "frac", [0.1]),
+        ("fiber", {}, "frac", "ab"),
+        ("fiber", {}, "frac", [0.1, 0.2, 0.3]),
+        ("analyze", {"op": "patch_frequency", "anchors": [0]}, "offsets", "x"),
+        ("analyze", {"op": "patch_frequency", "offsets": [[0]]}, "anchors", [[0], [1, 2]])])
     def test_numeric_param_checks(self, tmp_path, capsys, operation, params, key, value):
         cfg = {"operation": operation, "scheme": {"name": "fibonacci"}, "seed": 1,
                "region": {"lo": [-10], "hi": [60]}, "boxes": {"sizes": [20, 40]},
@@ -494,12 +506,30 @@ FUZZ_BASES = [
     {"operation": "meyer_cert", "scheme": {"name": "fibonacci"}, "seed": 3,
      "region": {"lo": [-120], "hi": [120]},
      "params": {"n_pairs": 1, "cover_radius": 10.0, "pair_range": [0.0, 5.0]}},
+    {"operation": "diffract", "scheme": {"name": "fibonacci"}, "seed": 3,
+     "region": {"lo": [-10], "hi": [60]}, "boxes": {"sizes": [20, 40]},
+     "params": {"k_max": 1.0, "n_controls": 2}},
+    {"operation": "torus", "scheme": {"name": "fibonacci"}, "params": {"op": "embed", "t": [0.5]}},
+    {"operation": "torus", "scheme": {"name": "silver"},
+     "params": {"op": "beta", "x": [0.5], "h": [0.1]}},
+    {"operation": "torus", "scheme": {"name": "fibonacci"},
+     "params": {"op": "singularity", "frac": [0.1, 0.2], "radius": 50.0}},
+    {"operation": "fiber", "scheme": {"name": "fibonacci"},
+     "params": {"frac": [0, 0], "radius": 20.0}},
+    {"operation": "reconstruct", "scheme": {"name": "fibonacci"},
+     "region": {"lo": [0], "hi": [60]}, "params": {"split_threshold": 2.0}},
+    {"operation": "analyze", "scheme": {"name": "fibonacci"},
+     "region": {"lo": [-20], "hi": [80]}, "boxes": {"sizes": [10, 20]},
+     "params": {"op": "patch_frequency", "offsets": [[0], [1.618034]], "anchors": [[0], [10]]}},
 ]
 
 # the checked params a "param" mutation may set, and the values it gives them
 FUZZ_PARAM_KEYS = ("radius", "k_half", "n_anchors", "n_pairs", "cover_radius", "pair_range",
-                   "k_max", "k_internal_max", "scan_radius", "eps", "eps_fracs")
-FUZZ_PARAM_VALUES = ["x", -1, 0, 2.5, 8, float("nan"), True, None, [5, 1], [1000, 2000], [0]]
+                   "k_max", "k_internal_max", "scan_radius", "eps", "eps_fracs",
+                   "n_controls", "split_threshold", "band", "t", "x", "h", "frac",
+                   "offsets", "anchors")
+FUZZ_PARAM_VALUES = ["x", -1, 0, 2.5, 8, float("nan"), True, None, [5, 1], [1000, 2000], [0],
+                     [[0], [1.5]]]
 
 FUZZ_WINDOWS = [
     None,

@@ -17,7 +17,7 @@ from aperiodic.errors import (
     SingularBasis,
 )
 from aperiodic.exactmath import QuadExact
-from aperiodic.window import Interval, IntervalUnion
+from aperiodic.window import Interval, IntervalUnion, make_interval
 
 TAU = (1 + math.sqrt(5)) / 2
 
@@ -245,6 +245,20 @@ class TestWindowAccept:
         accept = sc._window_accept(scheme, window, np.zeros((1, 2), dtype=np.int64),
                                    np.array([[x]]), np.array([True]))
         assert window.classify(x) is ap.Region.INTERIOR and accept.tolist() == [True]
+
+    def test_float_and_exact_twins_agree_on_touching_components(self):
+        # stars are the integers n1; the star 1 is the open end of (0, 1) and the
+        # closed end of [1, 2), so it lies in the window under either arithmetic
+        q = [QuadExact(v, 0, 2) for v in range(3)]
+        window = IntervalUnion([make_interval(q[0], q[1], False, False),
+                                make_interval(q[1], q[2], True, False)])
+        twin = ap.make_scheme(1, 1, [[(1, 0), (0, 1)], [0, 1]], mode="quadratic", radicand=2)
+        float_ = ap.make_scheme(1, 1, [[1.0, math.sqrt(2)], [0.0, 1.0]])
+        region = ap.Box.make([0], [10])
+        exact = ap.enumerate_cut(twin, window, region)
+        floats = ap.enumerate_cut(float_, window, region)
+        assert len(exact) == 10 and set(exact.star[:, 0]) == {1.0}
+        assert np.array_equal(floats.index, exact.index)
 
 
 class TestLatticePoints:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aperiodic.errors import UnsupportedShape
@@ -270,6 +270,22 @@ def old_interval_accepts(w, x, t):
     return False
 
 
+def any_component_accepts(w, x, t):
+    """Membership as the rule states it: some component claims the star, by
+    holding it strictly inside and away from both ends, or near a closed end."""
+    return any(abs(x - c.lo) <= t and c.lo_closed or abs(x - c.hi) <= t and c.hi_closed
+               or c.lo < x < c.hi and abs(x - c.lo) > t and abs(x - c.hi) > t
+               for c in w.components)
+
+
+def separated(w, t):
+    """Components longer than 2 tol and more than 2 tol apart: no star is near two
+    endpoints, and there the first component that claims a star is the only one."""
+    margin = 2 * t + 1e-12
+    return (all(c.hi - c.lo > margin for c in w.components)
+            and all(b.lo - a.hi > margin for a, b in zip(w.components, w.components[1:])))
+
+
 def old_endpoint_hits(w, x, t):
     hits = []
     for i, c in enumerate(w.components):
@@ -374,7 +390,9 @@ class TestArrayRuleIntervals:
             region = old_interval_classify(w, x, t)
             assert codes[r] == CODE[region]
             assert w.classify(x, t) is region
-            assert w.accepts(x, t) == old_interval_accepts(w, x, t)
+            assert w.accepts(x, t) == any_component_accepts(w, x, t)
+            if separated(w, t):
+                assert w.accepts(x, t) == old_interval_accepts(w, x, t)
             assert w.endpoint_hits(x, t) == old_endpoint_hits(w, x, t)
             assert w.boundary_distance(x) == old_interval_boundary_distance(w, x)
             expected_hits += [(r, c, side) for c, side in old_endpoint_hits(w, x, t)]
@@ -382,11 +400,12 @@ class TestArrayRuleIntervals:
 
     def test_overlap_within_tol_first_component_decides(self):
         # components may overlap by less than the construction tolerance; the
-        # first component that claims a star decides it, as the loops did
+        # first component that claims a star decides its region, as the loops
+        # did, and it is a member when any component claims it
         w = IntervalUnion([Interval(0.0, 1.0, True, False),
                            Interval(1.0 - 5e-10, 2.0, False, True)])
         for x in (1.0 - 5e-10, 1.0 - 2e-10, 1.0):
-            assert w.accepts(x, 1e-11) == old_interval_accepts(w, x, 1e-11)
+            assert w.accepts(x, 1e-11) == any_component_accepts(w, x, 1e-11)
             assert w.classify(x, 1e-11) is old_interval_classify(w, x, 1e-11)
 
 
@@ -452,3 +471,193 @@ def test_traced_methods_live_on_their_classes():
     assert "accepts" in vars(IntervalUnion)
     assert "accepts" in vars(ConvexPolygon)
     assert "star_exact" in vars(LatticeScheme)
+
+
+# -- the exact rule against the loops it replaced ------------------------------
+# Copies of the exact branches of IntervalUnion.classify/accepts/endpoint_hits,
+# of ConvexPolygon._classify_exact, of LatticeScheme.lift_exact and of
+# TorusPoint.internal_exact, as they were before the one rule per class.
+
+def old_exact_classify(w, h):
+    for c in w.components:
+        if h == c.lo_exact or h == c.hi_exact:
+            return Region.BOUNDARY
+        if c.lo_exact < h < c.hi_exact:
+            return Region.INTERIOR
+    return Region.EXTERIOR
+
+
+def old_exact_accepts(w, h):
+    for c in w.components:
+        if c.lo_exact < h < c.hi_exact:
+            return True
+        if h == c.lo_exact and c.lo_closed:
+            return True
+        if h == c.hi_exact and c.hi_closed:
+            return True
+    return False
+
+
+def old_exact_endpoint_hits(w, h):
+    hits = []
+    for i, c in enumerate(w.components):
+        if h == c.lo_exact:
+            hits.append((i, "lo"))
+        if h == c.hi_exact:
+            hits.append((i, "hi"))
+    return hits
+
+
+def old_classify_exact(poly, h):
+    hx, hy = h
+    n = len(poly.exact_vertices)
+    on_edge = False
+    for i in range(n):
+        ax, ay = poly.exact_vertices[i]
+        bx, by = poly.exact_vertices[(i + 1) % n]
+        cross = (bx - ax) * (hy - ay) - (by - ay) * (hx - ax)
+        s = cross.sign()
+        if s < 0:
+            return Region.EXTERIOR
+        if s == 0:
+            on_edge = True
+    return Region.BOUNDARY if on_edge else Region.INTERIOR
+
+
+def old_lift_exact(scheme, index):
+    out = []
+    for row in scheme.basis_exact:
+        acc = QuadExact(0, 0, scheme.radicand)
+        for entry, n in zip(row, index):
+            acc = acc + entry * int(n)
+        out.append(acc)
+    return tuple(out)
+
+
+def old_internal_exact(scheme, exact_frac):
+    out = []
+    for i in range(scheme.d, scheme.k):
+        acc = QuadExact(0, 0, scheme.radicand)
+        for j, f in enumerate(exact_frac):
+            acc = acc + scheme.basis_exact[i][j] * QuadExact(f, 0, scheme.radicand)
+        out.append(acc)
+    return tuple(out)
+
+
+def exact_bits(values):
+    """Rational parts, radicand and the integer types behind them."""
+    return [(q.a, q.b, q.D, type(q.a.numerator), type(q.b.numerator)) for q in values]
+
+
+RATIONALS = st.fractions(-3, 3, max_denominator=6)
+
+
+def quads(D):
+    return st.builds(QuadExact, RATIONALS, RATIONALS, st.just(D))
+
+
+def steps(draw, D):
+    """One rational step, sometimes times sqrt(D)."""
+    q = Fraction(1, draw(st.integers(1, 10**6)))
+    return draw(st.sampled_from([QuadExact(q, 0, D), QuadExact(0, q, D)]))
+
+
+@st.composite
+def exact_interval_unions(draw):
+    """Q(sqrt 5) or Q(sqrt 2) endpoints, some components touching, random flags."""
+    D = draw(st.sampled_from([2, 5]))
+    values = []
+    for v in sorted(draw(st.lists(quads(D), min_size=2, max_size=8)), key=float):
+        if not values or float(v) - float(values[-1]) > 1e-6:
+            values.append(v)
+    assume(len(values) >= 2)
+    comps, i = [], 0
+    while i + 1 < len(values):
+        comps.append(make_interval(values[i], values[i + 1], draw(st.booleans()),
+                                   draw(st.booleans())))
+        i += draw(st.sampled_from([1, 2]))
+    return IntervalUnion(comps), D
+
+
+@st.composite
+def exact_polygons(draw):
+    """The float convex hull of 3-6 random Q(sqrt D)^2 points, with exact vertices."""
+    D = draw(st.sampled_from([2, 5]))
+    pts = draw(st.lists(st.tuples(quads(D), quads(D)), min_size=3, max_size=6))
+    pts.sort(key=lambda p: (float(p[0]), float(p[1])))
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = [(float(x), float(y)) for x, y in out[-2:]]
+                if (ax - ox) * (float(p[1]) - oy) - (ay - oy) * (float(p[0]) - ox) > 1e-6:
+                    break
+                out.pop()
+            out.append(p)
+        return out
+
+    hull = half(pts)[:-1] + half(pts[::-1])[:-1]
+    assume(len(hull) >= 3)
+    verts = [(float(x), float(y)) for x, y in hull]
+    return ConvexPolygon(verts, draw(st.booleans()), exact_vertices=hull), D
+
+
+class TestExactRule:
+    @given(exact_interval_unions(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_intervals_match_exact_loops(self, case, data):
+        w, D = case
+        stars = []
+        for c in w.components:
+            for e in (c.lo_exact, c.hi_exact):
+                step = steps(data.draw, D)
+                stars += [e, e + step, e - step]
+        stars += data.draw(st.lists(quads(D), max_size=5))
+        for h in stars:
+            region = old_exact_classify(w, h)
+            for star in (h, (h,)):
+                assert w.classify(star) is region
+                assert w.accepts(star) == old_exact_accepts(w, h)
+                assert w.endpoint_hits(star) == old_exact_endpoint_hits(w, h)
+                assert w.boundary_hits(star, 0.0) == [
+                    (0, c, side) for c, side in old_exact_endpoint_hits(w, h)]
+
+    @given(exact_polygons(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_polygons_match_exact_loop(self, case, data):
+        poly, D = case
+        ring = list(zip(poly.exact_vertices,
+                        poly.exact_vertices[1:] + poly.exact_vertices[:1]))
+        half = Fraction(1, 2)
+        stars = []
+        for (ax, ay), (bx, by) in ring:
+            for x, y in ((ax, ay), ((ax + bx) * half, (ay + by) * half)):
+                step = steps(data.draw, D)
+                stars += [(x, y), (x + step, y), (x, y - step)]
+        stars += data.draw(st.lists(st.tuples(quads(D), quads(D)), max_size=3))
+        for h in stars:
+            region = old_classify_exact(poly, h)
+            assert poly.classify(h) is region
+            assert poly.accepts(h) == (region is Region.INTERIOR or (
+                region is Region.BOUNDARY and poly.boundary_included))
+            assert poly.boundary_hits(h, 0.0) == ([(0, 0, "edge")]
+                                                  if region is Region.BOUNDARY else [])
+
+    @pytest.mark.parametrize("name", ["fibonacci", "silver", "ammann_beenker"])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_star_exact_matches_lift_and_internal_exact(self, name, data):
+        from aperiodic.schemes import named_scheme
+        from aperiodic.torus import torus_point_from_frac
+        scheme, _ = named_scheme(name)
+        index = np.array(data.draw(st.lists(st.integers(-10**6, 10**6), min_size=scheme.k,
+                                            max_size=scheme.k)), dtype=np.int64)
+        assert exact_bits(scheme.star_exact(index)) == exact_bits(
+            old_lift_exact(scheme, index)[scheme.d:])
+        frac = tuple(data.draw(st.lists(st.fractions(0, 1, max_denominator=10**6),
+                                        min_size=scheme.k, max_size=scheme.k)))
+        tp = torus_point_from_frac(scheme, frac)
+        expected = exact_bits(old_internal_exact(scheme, tp.exact_frac))
+        assert exact_bits(scheme.star_exact(tp.exact_frac)) == expected
+        assert exact_bits(tp.internal_exact()) == expected
