@@ -121,8 +121,8 @@ def singularity_test(scheme: LatticeScheme, window, torus_point: TorusPoint,
     if scheme.m == 0:
         return []
     h = torus_point.internal_offset()
-    h_exact = torus_point.internal_exact()
-    exact_confirm = band is None and h_exact is not None and window.is_exact()
+    exact_confirm = (band is None and torus_point.exact_frac is not None
+                     and scheme.is_exact and window.is_exact())
     if band is not None:
         prefilter = float(band)       # widened rim: the fat-boundary fixture
     elif exact_confirm:
@@ -136,8 +136,9 @@ def singularity_test(scheme: LatticeScheme, window, torus_point: TorusPoint,
         hits = _strip_hits_1d(scheme, window, float(h[0]), radius, prefilter)
     else:
         hits = _generic_hits(scheme, window, h, radius, prefilter)
-    if not exact_confirm:
+    if not exact_confirm or not hits:
         return hits
+    h_exact = torus_point.internal_exact()
     return [hit for hit in hits
             if (0, hit.component, hit.side) in window.boundary_hits(
                 tuple(s + hh for s, hh in zip(scheme.star_exact(hit.index), h_exact)), 0.0)]
@@ -308,11 +309,11 @@ def reconstruct_window(pset: IndexedPointSet, split_threshold: float | None = No
         thr = split_threshold if split_threshold is not None else 5.0 * float(nn.max())
         cut_at = np.flatnonzero(gaps > thr)
         comps = []
-        start = 0
-        for c in cut_at:
-            comps.append(Interval(float(stars[start]), float(stars[c]), True, True))
-            start = c + 1
-        comps.append(Interval(float(stars[start]), float(stars[-1]), True, True))
+        for a, b in zip(np.append(0, cut_at + 1), np.append(cut_at, len(stars) - 1)):
+            if a == b:
+                raise InsufficientData(f"split threshold {thr:g} isolates the star "
+                                       f"{float(stars[a])!r}; a component needs two or more")
+            comps.append(Interval(float(stars[a]), float(stars[b]), True, True))
         est = IntervalUnion(comps)
         hd = interval_union_hausdorff(est, truth) if truth is not None else None
         return ReconstructionReport(est, len(pset), thr, origin, hd)

@@ -2,6 +2,8 @@ import contextlib
 import copy
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import aperiodic as ap
 from aperiodic import cli
-from aperiodic.config import CONFIG_SCHEMA, load_config, validate_config
+from aperiodic.config import PARAMS, checked_params, load_config, validate_config
 from aperiodic.errors import ConfigError, DuplicatePoint, ParseError
 from aperiodic.serialize import ingest_csv
 from aperiodic.window import Interval, IntervalUnion
@@ -81,6 +83,41 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_params_defaults_filled_without_touching_the_config(self):
+        cfg = {"operation": "torus", "scheme": {"name": "fibonacci"}, "seed": 1,
+               "params": {"op": "separation", "samples": 5}}
+        before = copy.deepcopy(cfg)
+        assert checked_params(cfg, 1, 1, 2) == {"samples": 5, "radius": 1000.0, "band": None}
+        assert cfg == before
+
+    def test_params_vectors_checked_against_the_dimensions_given(self):
+        cfg = {"operation": "fiber", "params": {"frac": [0.1, 0.2]}}
+        assert checked_params(cfg)["frac"] == [0.1, 0.2]
+        assert checked_params(cfg, k=2)["frac"] == [0.1, 0.2]
+        with pytest.raises(ConfigError, match="params.frac must be a list of 3 finite"):
+            checked_params(cfg, k=3)
+        cfg = {"operation": "analyze", "params": {"op": "patch_frequency", "offsets": [0.5],
+                                                  "anchors": [[0], [10]]}}
+        assert checked_params(cfg, d=1) == {"offsets": [[0.5]], "anchors": [[0], [10]]}
+
+    def test_execute_without_validation_fills_defaults(self, tmp_path):
+        cfg = {"operation": "torus", "scheme": {"name": "fibonacci"}, "seed": 4,
+               "params": {"op": "separation", "radius": 50.0}}
+        explicit = copy.deepcopy(cfg)
+        explicit["params"]["samples"] = 100
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        report, _ = cli.execute(cfg, tmp_path / "a")
+        assert report["results"] == cli.execute(explicit, tmp_path / "b")[0]["results"]
+        assert json.loads((tmp_path / "a" / "report.json").read_text())["config"] == {
+            "operation": "torus", "scheme": {"name": "fibonacci"}, "seed": 4,
+            "params": {"op": "separation", "radius": 50.0}}
+
+    def test_cli_import_leaves_jsonschema_unloaded(self):
+        code = "import sys, aperiodic.cli; sys.exit('jsonschema' in sys.modules)"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        assert subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src}).returncode == 0
 
 
 class TestRuns:
@@ -172,6 +209,13 @@ class TestRuns:
         assert ok
         assert report["results"]["hausdorff"] < 0.05
         assert (out / "window.svg").exists()
+
+    def test_reconstruct_isolated_star_exits_3(self, tmp_path, capsys):
+        cfg = {"operation": "reconstruct", "scheme": {"name": "fibonacci"},
+               "region": {"lo": [0], "hi": [60]}, "params": {"split_threshold": 0.01}}
+        assert cli.main(["reconstruct", "--config", write_cfg(tmp_path, cfg),
+                         "--out", str(tmp_path / "o")]) == 3
+        assert "isolates the star" in capsys.readouterr().err
 
     def test_torus_and_fiber_runs(self, tmp_path):
         cfg = {
@@ -437,7 +481,7 @@ class TestConfigErrors:
     def test_params_op_not_a_string(self, tmp_path, capsys):
         cfg = {"operation": "analyze", "scheme": {"name": "fibonacci"},
                "region": {"lo": [0], "hi": [60]}, "params": {"op": [5, 1]}}
-        assert "is not of type 'string'" in self.run(tmp_path, capsys, cfg)
+        assert "params.op must be a string" in self.run(tmp_path, capsys, cfg)
 
     @pytest.mark.parametrize("operation,params,key,value", [
         ("analyze", {"op": "dual_candidates", "k_max": 1.0}, "k_max", "x"),
@@ -489,6 +533,49 @@ class TestConfigErrors:
         cfg["points"]["region"] = cfg.pop("region")
         assert "top-level 'region'" in self.run(tmp_path, capsys, cfg)
 
+    @pytest.mark.parametrize("seed", [2.0, -1, True])
+    def test_seed_not_a_nonnegative_integer(self, tmp_path, capsys, seed):
+        cfg = {"operation": "torus", "scheme": {"name": "fibonacci"}, "seed": seed,
+               "params": {"op": "separation", "samples": 3}}
+        assert "seed must be an integer >= 0" in self.run(tmp_path, capsys, cfg)
+
+    def test_negative_seed_override(self, tmp_path, capsys):
+        cfg = {"operation": "torus", "scheme": {"name": "fibonacci"}, "seed": 1,
+               "params": {"op": "separation", "samples": 3}}
+        assert cli.main(["torus", "--config", write_cfg(tmp_path, cfg), "--out",
+                         str(tmp_path / "o"), "--seed-override", "-1"]) == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sizes", [[-5], [20, 0]])
+    def test_box_sizes_not_positive(self, tmp_path, capsys, sizes):
+        cfg = {"operation": "autocorr", "scheme": {"name": "fibonacci"},
+               "region": {"lo": [-10], "hi": [100]}, "boxes": {"sizes": sizes},
+               "params": {"radius": 5.0}}
+        assert "boxes.sizes must be" in self.run(tmp_path, capsys, cfg)
+
+    def test_quadratic_scheme_without_radicand(self, tmp_path, capsys):
+        cfg = fib_generate_cfg()
+        cfg["scheme"] = {**WINDOWLESS_SCHEME, "basis": [[1, ["1/2", "1/2"]], [1, ["1/2", "-1/2"]]],
+                         "arithmetic": {"mode": "quadratic"}}
+        cfg["window"] = {"type": "intervals", "components": [{"lo": -0.6, "hi": 0.9}]}
+        assert "radicand D" in self.run(tmp_path, capsys, cfg)
+
+    @pytest.mark.parametrize("operation,sub", list(PARAMS))
+    def test_unknown_param_key(self, tmp_path, capsys, operation, sub):
+        cfg = {"operation": operation, "scheme": {"name": "fibonacci"}, "seed": 1,
+               "runs": [fib_generate_cfg()],
+               "params": {**({"op": sub} if sub else {}), "no_such_key": 1}}
+        assert "unknown key params.no_such_key" in self.run(tmp_path, capsys, cfg)
+
+    @pytest.mark.parametrize("part,value", [
+        ("region", {"lo": [0], "hi": [60], "no_such_key": 1}),
+        ("boxes", {"sizes": [20], "no_such_key": 1}),
+        ("points", {"path": "pts.csv", "no_such_key": 1}),
+        ("require", [{"key": "count", "min": 1, "no_such_key": 1}])])
+    def test_unknown_key_in_a_part(self, tmp_path, capsys, part, value):
+        cfg = {**fib_generate_cfg(), part: value}
+        assert "no_such_key" in self.run(tmp_path, capsys, cfg)
+
 
 FUZZ_BASES = [
     fib_generate_cfg(0, 30),
@@ -523,13 +610,13 @@ FUZZ_BASES = [
      "params": {"op": "patch_frequency", "offsets": [[0], [1.618034]], "anchors": [[0], [10]]}},
 ]
 
-# the checked params a "param" mutation may set, and the values it gives them
-FUZZ_PARAM_KEYS = ("radius", "k_half", "n_anchors", "n_pairs", "cover_radius", "pair_range",
-                   "k_max", "k_internal_max", "scan_radius", "eps", "eps_fracs",
-                   "n_controls", "split_threshold", "band", "t", "x", "h", "frac",
-                   "offsets", "anchors")
-FUZZ_PARAM_VALUES = ["x", -1, 0, 2.5, 8, float("nan"), True, None, [5, 1], [1000, 2000], [0],
-                     [[0], [1.5]]]
+# the params a "param" mutation may set (every key of the table; half the time
+# one of the config's own keys), the values it gives them, and the seeds of a
+# "seed" mutation
+FUZZ_PARAM_KEYS = tuple(sorted({key for _, spec in PARAMS.values() for key in spec}))
+FUZZ_PARAM_VALUES = ["x", -1, 0, 0.01, 2.5, 8, float("nan"), True, None, [5, 1], [1000, 2000],
+                     [0], [[0], [1.5]]]
+FUZZ_SEEDS = [2.0, -1, "x", True]
 
 FUZZ_WINDOWS = [
     None,
@@ -554,7 +641,7 @@ def mutated_configs(draw):
     cfg = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
     verb = cfg["operation"].replace("_", "-")
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["drop", "swap", "dims", "window", "param"]))
+        kind = draw(st.sampled_from(["drop", "swap", "dims", "window", "param", "seed"]))
         region = cfg.get("region")
         if kind == "drop":
             path = draw(st.sampled_from(list(_key_paths(cfg))))
@@ -570,8 +657,11 @@ def mutated_configs(draw):
         elif kind == "window":
             cfg["window"] = copy.deepcopy(draw(st.sampled_from(FUZZ_WINDOWS)))
         elif kind == "param" and "params" in cfg:
-            key = draw(st.sampled_from(FUZZ_PARAM_KEYS))
-            cfg["params"][key] = draw(st.sampled_from(FUZZ_PARAM_VALUES))
+            _, own = PARAMS.get((cfg.get("operation"), cfg["params"].get("op")), (False, {}))
+            keys = sorted(own) if own and draw(st.booleans()) else FUZZ_PARAM_KEYS
+            cfg["params"][draw(st.sampled_from(keys))] = draw(st.sampled_from(FUZZ_PARAM_VALUES))
+        elif kind == "seed":
+            cfg["seed"] = draw(st.sampled_from(FUZZ_SEEDS))
     return verb, cfg
 
 
@@ -587,9 +677,3 @@ def test_config_fuzz_exits_cleanly(case):
             code = cli.main([verb, "--config", str(path), "--out", str(Path(tmp) / "o")])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
-
-
-def test_schema_is_valid_jsonschema():
-    import jsonschema
-
-    jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)

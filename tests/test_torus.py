@@ -111,6 +111,22 @@ class TestSingularity:
         sides = {h.side for h in hits}
         assert "hi" in sides or "lo" in sides
 
+    def test_exact_star_only_for_float_hits(self, fib, monkeypatch):
+        # the exact shifted star is computed only to confirm a float-prefilter hit
+        scheme, window = fib
+        calls = []
+        internal_exact = ap.TorusPoint.internal_exact
+        monkeypatch.setattr(ap.TorusPoint, "internal_exact",
+                            lambda tp: calls.append(tp) or internal_exact(tp))
+        tp = ap.torus_point_from_frac(scheme, [Fraction(1, 7), Fraction(2, 11)])
+        assert ap.singularity_test(scheme, window, tp, 1000.0) == []
+        assert calls == []
+        # internal offset 1/3 puts the stars of (-1, 0) and (0, -1) on the two ends
+        tp = ap.torus_point_from_frac(scheme, [Fraction(1, 3), Fraction(0)])
+        hits = ap.singularity_test(scheme, window, tp, 10.0)
+        assert [(h.index, h.side) for h in hits] == [((-1, 0), "lo"), ((0, -1), "hi")]
+        assert calls == [tp]
+
     def test_crystal_never_singular(self):
         scheme = ap.integer_crystal(1)
         tp = ap.torus_point_from_frac(scheme, [0.37])
@@ -315,6 +331,13 @@ class TestReconstruction:
                                     star=np.array([[0.0]]), scheme=scheme)
         with pytest.raises(InsufficientData):
             ap.reconstruct_window(single)
+
+    def test_isolated_star_is_insufficient_data(self, fib):
+        scheme, window = fib
+        patch = ap.enumerate_cut(scheme, window, ap.Box.make([0], [60]))
+        lone = float(np.sort(patch.star[:, 0])[0])
+        with pytest.raises(InsufficientData, match=f"isolates the star {lone!r}"):
+            ap.reconstruct_window(patch, split_threshold=0.01)
 
     def test_raw_set_rejected(self, random_patch):
         with pytest.raises(NotSchemeBacked):
